@@ -87,7 +87,7 @@ struct Options
     /** --batch K: sweep points simulated as lanes of one shared-
      *  workload batch per worker (sim/batch/sweep_batch.hh). 0 =
      *  auto (defaultBatchLanes); 1 = serial path. Byte-identical
-     *  results either way; PRI_LEGACY_BATCH=1 forces 1. */
+     *  results either way. */
     unsigned batchLanes = 0;
     std::string jsonPath;  ///< --json FILE: machine-readable results
     std::string journalPath; ///< --journal FILE: resumable sweeps

@@ -18,8 +18,8 @@
  * of order) mark the slot dead, and the window edges advance past
  * dead slots. Every slot in the window belongs to a branch still in
  * the fetch queue or ROB, so a capacity of robSize + fetchQueueSize
- * can never fill — the default sizing, which makes the pooled path
- * timing-identical to the legacy copy path.
+ * can never fill — the default sizing, under which the pool never
+ * stalls fetch and so never changes timing.
  */
 
 #ifndef PRI_CORE_CHECKPOINT_POOL_HH

@@ -114,55 +114,6 @@ struct CoreConfig
     unsigned btbMissPenalty = 2;  ///< taken branch without a target
 
     /**
-     * Reuse the per-cycle scratch buffers (event drain list, squash
-     * free list) across cycles instead of allocating fresh vectors.
-     * Timing-neutral; only simulator speed changes. The legacy
-     * allocate-per-cycle path is kept so bench/perf_smoke can
-     * measure the allocation churn the hoist removes.
-     */
-    bool hoistScratch = true;
-
-    /**
-     * Recover branch state through the fixed-capacity checkpoint
-     * pool (index+generation references, RAS/arch undo journals)
-     * instead of embedding full snapshot copies in every fetched
-     * branch. Timing-identical to the legacy copy path as long as
-     * the pool never fills (guaranteed at the default auto size);
-     * only simulator speed and allocation behaviour change. The
-     * legacy path is kept so bench/perf_smoke can measure the
-     * copy/allocation churn the pool removes.
-     */
-    bool pooledCheckpoints = true;
-
-    /**
-     * Wake scheduler entries through per-(class, preg) consumer
-     * lists and select from a seq-ordered ready list (the classic
-     * broadcast wakeup/select structure) instead of re-polling every
-     * scheduler entry's sources each cycle. Timing-identical by
-     * construction: the ready list is a superset of the poll-ready
-     * entries and select re-applies the exact polling predicate in
-     * the same age order. Only simulator speed changes. The legacy
-     * polling path is kept so bench/bench_sched can measure the
-     * algorithmic win; the PRI_LEGACY_WAKEUP environment variable
-     * forces it for whole-binary spot checks.
-     */
-    bool eventWakeup = true;
-
-    /**
-     * Fetch through pre-decoded micro-traces: the front-end walker
-     * replays flat MicroOp arrays compiled once per program and
-     * shared through the global TraceCache, instead of re-deriving
-     * operands, targets, and hash draws from the StaticInst per
-     * dynamic instance. Byte-identical to the legacy decode path by
-     * construction (same draws in the same order; DESIGN.md §13);
-     * only simulator speed changes. The legacy path is kept so
-     * bench/perf_smoke can measure the decode cost the traces
-     * remove; the PRI_LEGACY_WALKER environment variable forces it
-     * for whole-binary spot checks.
-     */
-    bool tracedFrontEnd = true;
-
-    /**
      * Checkpoint-pool slots; 0 = auto (robSize + fetchQueueSize,
      * one slot per branch that can possibly be in flight, so fetch
      * never stalls on the pool). Smaller values model a finite

@@ -78,11 +78,13 @@ struct RobHot
 
 /**
  * Simulator-side wakeup/select instrumentation, kept as plain
- * counters *outside* the StatGroup on purpose: the full stats report
- * must stay byte-identical between the event-driven and legacy
- * polling paths (the determinism tests compare it verbatim), so
- * anything that differs by construction between the two wakeup
- * implementations lives here and is read only by the benches.
+ * counters *outside* the StatGroup on purpose. These count the
+ * simulator's own bookkeeping (list walks, bitmap scans), not
+ * machine events, so they belong in no result: registering them
+ * would change every stats report, and with it every pinned result
+ * digest, journal record and store entry, for no modelled
+ * behaviour. bench/perf reads them to report select scans and
+ * broadcasts per cycle.
  */
 struct WakeupTelemetry
 {
@@ -97,10 +99,8 @@ struct WakeupTelemetry
 /**
  * Cold half of a reorder-buffer entry: retire/commit bookkeeping and
  * branch-recovery state, touched once per instruction rather than
- * every scheduling cycle. With pooled checkpoints a branch carries
- * only the 8-byte CkptRef; the embedded snapshot fields at the
- * bottom exist solely for the legacy (pooledCheckpoints=false) copy
- * path and are left untouched otherwise.
+ * every scheduling cycle. A branch carries only the 8-byte CkptRef;
+ * its recovery state lives in the checkpoint pool.
  */
 struct RobCold
 {
@@ -135,13 +135,6 @@ struct RobCold
     rename::CkptId ckptId = 0;
     branch::PredictToken bpTok;
     CkptRef ckptRef; ///< pooled front-end recovery state
-
-    // Legacy copy-everywhere checkpointing only:
-    workload::WalkerCkpt walkerCkpt;
-    branch::PredictorSnapshotFull bpSnap;
-    /** Speculative architectural values at this branch (both
-     *  classes), for dataflow-check recovery. */
-    std::array<uint64_t, 2 * isa::kNumLogicalRegs> archSnap{};
 };
 
 /**
@@ -176,7 +169,7 @@ struct CoreStats
     /** Reallocations of cycle-loop scratch/wheel buffers. Zero in
      *  steady state once the buffers are hoisted and warmed up. */
     StatScalar &scratchGrowths;
-    /** Branch checkpoints taken at fetch (pooled or legacy). */
+    /** Branch checkpoints taken at fetch. */
     StatScalar &ckptsTaken;
     /** Checkpoints restored by misprediction recovery. */
     StatScalar &ckptsRestored;
@@ -275,10 +268,8 @@ class OutOfOrderCore
      * @p shared_traces, when non-null, supplies the compiled
      * micro-traces directly (batched lanes of one SweepBatch share a
      * single acquisition) instead of acquiring them from the global
-     * TraceCache; ignored unless cfg.tracedFrontEnd. @p tape, when
-     * non-null, is a shared committed-path ReplayTape handed to the
-     * walker (requires traced mode; see ReplayTape). Both default to
-     * null, which is the exact legacy construction path.
+     * TraceCache. @p tape, when non-null, is a shared committed-path
+     * ReplayTape handed to the walker (see ReplayTape).
      */
     OutOfOrderCore(
         const CoreConfig &config,
@@ -383,7 +374,7 @@ class OutOfOrderCore
     void scheduleEvent(uint64_t when, EventType type, uint32_t idx);
     void replayInst(uint32_t idx);
 
-    // --- event-driven wakeup (cfg.eventWakeup) ---
+    // --- event-driven wakeup ---
     /** Ready-list head for (cls, preg)'s consumer list. */
     int32_t &consHeadRef(isa::RegClass cls, isa::PhysRegId p);
     /** Link source slot @p s of entry @p idx onto its producer's
@@ -492,9 +483,9 @@ class OutOfOrderCore
     StatGroup &sg;
     CoreStats st;
     const workload::SyntheticProgram &prog;
-    /** Compiled micro-traces shared via the global TraceCache; null
-     *  on the legacy decode path. Declared before the walker, which
-     *  borrows the raw pointer for its lifetime. */
+    /** Compiled micro-traces shared via the global TraceCache.
+     *  Declared before the walker, which borrows the raw pointer for
+     *  its lifetime. */
     std::shared_ptr<const workload::trace::ProgramTraces> traces;
     workload::Walker walker;
     rename::RenameUnit rn;
@@ -519,24 +510,21 @@ class OutOfOrderCore
     uint32_t robTail = 0;
     uint32_t robCount = 0;
 
-    // Scheduler: indices of ROB entries waiting to issue, plus a
-    // count of slots held by selected-but-incomplete instructions
-    // (selective recovery keeps them allocated until completion).
-    // schedQueue is the legacy polling structure (eventWakeup off);
-    // schedCount_ tracks waiting-entry occupancy in both modes.
-    HotVec<uint32_t> schedQueue;
+    // Scheduler occupancy: entries waiting to issue, plus slots held
+    // by selected-but-incomplete instructions (selective recovery
+    // keeps them allocated until completion).
     unsigned schedHeld = 0;
     unsigned schedCount_ = 0;
 
-    // Event-driven wakeup state (cfg.eventWakeup; all fixed-size,
-    // allocated once in the constructor).
+    // Event-driven wakeup state (all fixed-size, allocated once in
+    // the constructor).
     //
     // Consumer lists: one intrusive doubly-linked list per
     // (class, preg), holding every in-flight source operand renamed
     // to that register. Node id = robIdx * 2 + srcSlot; a node is
     // linked exactly while its SrcRead is a live pointer read
-    // (valid && !imm && refHeld), i.e. the same set the legacy
-    // ideal-inline ROB walk would rewrite.
+    // (valid && !imm && refHeld), i.e. exactly the payload-RAM
+    // entries an ideal-PRI inline must rewrite.
     std::array<HotVec<int32_t>, 2> consHead_;
     struct ConsLinks
     {
@@ -545,9 +533,9 @@ class OutOfOrderCore
     };
     HotVec<ConsLinks> cons_; ///< one pair per source node
 
-    // Ready set: one bit per ROB slot; a *superset* of the
-    // poll-ready entries (lazy: entries whose predicted readiness
-    // regressed stay set and are skipped by select's exact polling
+    // Ready set: one bit per ROB slot; a *superset* of the ready
+    // entries (lazy: entries whose predicted readiness regressed
+    // stay set and are skipped by select's exact readiness
     // recheck). Age order is free — iterating the ring from robHead
     // visits slots in rename (seq) order — so insert/remove are
     // single bit flips instead of sorted-list surgery.
@@ -582,8 +570,7 @@ class OutOfOrderCore
     bool portFaultFiredThisCycle_ = false;
 
     // Fetch queue between fetch and rename: a fixed ring of
-    // cfg.fetchQueueSize() slots whose storage (including the legacy
-    // walker-checkpoint stack vectors) is reused forever.
+    // cfg.fetchQueueSize() slots, reused forever.
     struct FetchedInst
     {
         workload::WInst wi;
@@ -595,16 +582,13 @@ class OutOfOrderCore
         bool usedPredictor = false;
         branch::PredictToken bpTok;
         CkptRef ckptRef; ///< pooled front-end recovery state
-        // Legacy copy-everywhere checkpointing only:
-        branch::PredictorSnapshotFull bpSnap;
-        workload::WalkerCkpt walkerCkpt;
     };
     HotVec<FetchedInst> fetchBuf;
     uint32_t fetchHead = 0;
     uint32_t fetchCount = 0;
     uint64_t fetchResumeCycle = 0;
 
-    // Pooled branch checkpointing (cfg.pooledCheckpoints).
+    // Branch checkpointing: one pool slot per in-flight branch.
     CheckpointPool ckptPool;
     /** Undo journal for specArch: one record per renamed
      *  destination, unwound on misprediction recovery instead of
@@ -637,9 +621,8 @@ class OutOfOrderCore
     static constexpr uint64_t kNearWake = 8;
 
     // Per-cycle scratch, hoisted out of the cycle loop so steady
-    // state allocates nothing (cfg.hoistScratch). The buffers trade
-    // storage with their producers (wheel slot / local) via swap,
-    // so capacity is retained and recirculated.
+    // state allocates nothing: each buffer keeps the capacity it
+    // has grown, so once warmed up none of them reallocates.
     HotVec<Event> eventScratch;   ///< completions/retires
     HotVec<Event> eventScratch2;  ///< execution starts
     HotVec<Freed> freedScratch;

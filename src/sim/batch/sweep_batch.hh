@@ -80,7 +80,7 @@ struct LaneOutcome
  * One batch in flight. Lifecycle: prepare() builds the shared
  * workload and the lanes (the allocation phase), drain() round-
  * robins the lanes to completion (the zero-steady-state-allocation
- * replay loop; perf_smoke measures exactly this window), and
+ * replay loop; tests/test_alloc_gates.cpp gates this window), and
  * finalize() assembles per-lane outcomes. Runs entirely on the
  * calling thread.
  */

@@ -32,8 +32,7 @@
  *
  * `--batch K` simulates up to K compatible sweep points per worker
  * thread as lanes of one shared-workload batch (default: auto);
- * results are byte-identical to `--batch 1`. PRI_LEGACY_BATCH=1
- * forces the serial path regardless.
+ * results are byte-identical to `--batch 1`.
  */
 
 #include <cstdio>

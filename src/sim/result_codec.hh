@@ -18,7 +18,7 @@
  *    record written by one is bit-identical when served by the
  *    other.
  *
- *  - Params lines (tag PRIP2): one RunParams request, carrying
+ *  - Params lines (tag PRIP3): one RunParams request, carrying
  *    EXACTLY the fields paramsHash() digests — no more, no fewer.
  *    This is the pri_sweepd submit format: a daemon that re-derives
  *    paramsHash from a parsed params line is guaranteed to compute
@@ -71,25 +71,24 @@ static_assert(sizeof(kResultFieldNames) / sizeof(const char *) ==
 
 /** Params-line format tag; bump when the paramsHash() audited
  *  field list changes. */
-constexpr const char *kParamsTag = "PRIP2";
+constexpr const char *kParamsTag = "PRIP3";
 
-/** Params-line fields: tag, the 22 hashed RunParams fields, "." */
-constexpr size_t kParamsFields = 24;
+/** Params-line fields: tag, the 19 hashed RunParams fields, "." */
+constexpr size_t kParamsFields = 21;
 
-/** The pinned PRIP2 field list — exactly paramsHash()'s digest
+/** The pinned PRIP3 field list — exactly paramsHash()'s digest
  *  order (see simulation.cc). */
 constexpr const char *kParamsFieldNames[] = {
     "tag", "benchmark", "width", "scheme", "physRegs",
     "warmupInsts", "measureInsts", "seed", "checkGolden",
     "schedSizeOverride", "narrowBitsOverride", "injectFault",
-    "injectFreeWithoutInline", "prfReadPorts", "pooledCheckpoints",
-    "eventWakeup", "cycleBudget", "tracedFrontEnd", "faultSite",
-    "faultMutation", "faultTrigger", "faultTriggerArg", "faultSeed",
-    "sentinel",
+    "injectFreeWithoutInline", "prfReadPorts", "cycleBudget",
+    "faultSite", "faultMutation", "faultTrigger", "faultTriggerArg",
+    "faultSeed", "sentinel",
 };
 static_assert(sizeof(kParamsFieldNames) / sizeof(const char *) ==
                   kParamsFields,
-              "PRIP2 field list and field count must move together");
+              "PRIP3 field list and field count must move together");
 
 /** Escape tabs/newlines/backslashes so a report is one field. */
 std::string escape(const std::string &s);
@@ -109,12 +108,12 @@ std::string formatResultLine(uint64_t key, const RunResult &r);
 bool parseResultLine(const std::string &line, uint64_t &key,
                      RunResult &r);
 
-/** One PRIP2 line (newline-terminated) for @p p: the audited
+/** One PRIP3 line (newline-terminated) for @p p: the audited
  *  (hash-visible) fields only. */
 std::string formatParamsLine(const RunParams &p);
 
 /**
- * Parse one PRIP2 line into @p p (every non-audited field keeps the
+ * Parse one PRIP3 line into @p p (every non-audited field keeps the
  * value @p p arrived with, so callers can pre-load machine-local
  * policy like timeoutMs). Returns false on any malformed input.
  */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 
@@ -141,9 +140,6 @@ SimulationRunner::runOne(size_t index, const RunParams &params) const
 unsigned
 SimulationRunner::effectiveBatchLanes() const
 {
-    // Whole-binary escape hatch, like PRI_LEGACY_CKPTS and friends.
-    if (std::getenv("PRI_LEGACY_BATCH") != nullptr)
-        return 1;
     return nBatchLanes == 0 ? defaultBatchLanes() : nBatchLanes;
 }
 

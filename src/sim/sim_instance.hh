@@ -39,7 +39,7 @@ struct SharedWorkload
 {
     std::shared_ptr<const workload::SyntheticProgram> program;
     std::shared_ptr<const workload::trace::ProgramTraces> traces;
-    /** Null when trace replay is off (legacy walker). */
+    /** Null = every lane generates its stream live. */
     const workload::ReplayTape *tape = nullptr;
 };
 
@@ -114,8 +114,8 @@ class SimInstance
     double ps0 = 0, pr0 = 0, pb0 = 0;
 };
 
-/** The env-override-resolved core config simulate() builds (also
- *  used by batch formation to decide tape eligibility). */
+/** The core config simulate() builds for @p params, with the
+ *  PRI_WATCHDOG_CYCLES override applied. */
 core::CoreConfig coreConfigFor(const RunParams &params);
 
 } // namespace pri::sim

@@ -128,32 +128,6 @@ struct RunParams
     /** Per-run wall-clock budget in milliseconds (0 = none).
      *  Machine-dependent, so excluded from the params hash. */
     uint64_t timeoutMs = 0;
-    /**
-     * Recover branch state through the checkpoint pool (default)
-     * rather than the legacy copy-everywhere path. Timing-identical;
-     * exists so harnesses can A/B the simulator-speed change. The
-     * PRI_LEGACY_CKPTS environment variable forces the legacy path
-     * for whole-binary spot checks.
-     */
-    bool pooledCheckpoints = true;
-    /**
-     * Wake scheduler entries through per-preg consumer lists and a
-     * seq-ordered ready list (default) rather than the legacy
-     * re-poll-everything select loop. Timing-identical; exists so
-     * harnesses can A/B the simulator-speed change. The
-     * PRI_LEGACY_WAKEUP environment variable forces the legacy path
-     * for whole-binary spot checks.
-     */
-    bool eventWakeup = true;
-    /**
-     * Fetch through pre-decoded micro-traces shared via the global
-     * TraceCache (default) rather than the legacy per-instance
-     * decode path. Byte-identical output; exists so harnesses can
-     * A/B the simulator-speed change. The PRI_LEGACY_WALKER
-     * environment variable forces the legacy path for whole-binary
-     * spot checks.
-     */
-    bool tracedFrontEnd = true;
 };
 
 /** Headline metrics of one run. */

@@ -41,7 +41,10 @@ sim::RunParams
 drawPoint(uint64_t seed, uint64_t index)
 {
     // One salt per axis: axes stay independent, and adding an axis
-    // never reshuffles the others.
+    // never reshuffles the others. Salts 7, 9 and 13 are retired
+    // (they drew the checkpoint, wakeup and front-end implementation
+    // switches); never reuse them, or old seed/index replays would
+    // silently denote different points.
     auto pick = [&](uint64_t salt, uint64_t bound) {
         return hashCombine(seed, index, salt) % bound;
     };
@@ -76,20 +79,14 @@ drawPoint(uint64_t seed, uint64_t index)
     p.schedSizeOverride = kSched[pick(5, std::size(kSched))];
     p.narrowBitsOverride =
         kNarrowBits[pick(6, std::size(kNarrowBits))];
-    p.pooledCheckpoints = pick(7, 2) != 0;
     p.seed = hashCombine(seed, index, 8);
-    p.eventWakeup = pick(9, 2) != 0;
     // Robustness axes: the watchdog is observation-only, so fuzzing
     // it on/off must never change a single golden-checked commit;
     // the cycle budget turns any wedge the fuzzer ever finds into a
-    // structured per-point failure instead of a hung CI job.
+    // structured per-point failure instead of a hung CI job. (Salts
+    // 11/12 belong to the retry-policy test below, salt 14 to the
+    // batching test, salts 16/17 to the fault-campaign axis.)
     p.watchdog = pick(10, 2) != 0;
-    // Front-end axis: traced replay vs legacy decode. The golden
-    // model always decodes legacy, so every traced point is a full
-    // traced-vs-legacy stream cross-check. (Salts 11/12 belong to
-    // the retry-policy test below, salt 14 to the batching test,
-    // salts 16/17 to the fault-campaign axis.)
-    p.tracedFrontEnd = pick(13, 2) != 0;
     // Read-port arbitration axis: a binding budget reorders issue,
     // so every limited draw cross-checks the arbitrated machine
     // against the golden model.
@@ -116,9 +113,6 @@ TEST(ConfigFuzz, RandomConfigsStayGoldenClean)
                      std::to_string(p.schedSizeOverride) +
                      " narrow " +
                      std::to_string(p.narrowBitsOverride) +
-                     (p.pooledCheckpoints ? " pooled" : " legacy") +
-                     (p.eventWakeup ? " event" : " poll") +
-                     (p.tracedFrontEnd ? " traced" : " decoded") +
                      " ports " +
                      std::to_string(p.prfReadPorts));
         const auto r = sim::simulate(p);

@@ -2,11 +2,11 @@
  * @file
  * Tests for pooled branch checkpointing: CheckpointPool slot and
  * generation semantics, pool-exhaustion behaviour on the full core
- * (fetch stalls, graceful IPC degradation), timing identity between
- * the pooled and legacy copy paths, and a property test that
+ * (fetch stalls, graceful IPC degradation), and a property test that
  * journal-based restore (RAS undo log + reusable walker slots) is
  * observationally identical to full-copy snapshots under random
- * checkpoint/steer/restore interleavings.
+ * checkpoint/steer/restore interleavings. The pool's timing is
+ * pinned in test_sched_wakeup.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -159,37 +159,6 @@ TEST(PooledCore, AutoSizedPoolNeverStalls)
     h.cpu.checkInvariants();
 }
 
-TEST(PooledCore, TimingIdenticalToLegacySnapshots)
-{
-    // Pooled checkpointing changes how the simulator stores recovery
-    // state, not what the machine does: cycle counts and every
-    // branch statistic must match the legacy copy path exactly.
-    auto cfg = core::CoreConfig::fourWide(
-        rename::RenameConfig::priRefcountCkptcount(64, 7));
-    cfg.pooledCheckpoints = true;
-    CoreHarness pooled(cfg, "gcc", 17);
-    pooled.cpu.run(30000);
-
-    cfg.pooledCheckpoints = false;
-    CoreHarness legacy(cfg, "gcc", 17);
-    legacy.cpu.run(30000);
-
-    EXPECT_EQ(pooled.cpu.cycles(), legacy.cpu.cycles());
-    EXPECT_EQ(pooled.cpu.committedInsts(),
-              legacy.cpu.committedInsts());
-    for (const char *stat :
-         {"core.committedBranches", "core.branchMispredicts",
-          "core.squashedInsts", "core.ckptsTaken",
-          "core.ckptsRestored", "core.ckptPoolStalls",
-          "core.replays"}) {
-        EXPECT_EQ(pooled.stats.scalarValue(stat),
-                  legacy.stats.scalarValue(stat))
-            << stat;
-    }
-    pooled.cpu.checkInvariants();
-    legacy.cpu.checkInvariants();
-}
-
 TEST(PooledCore, TinyPoolStallsFetchButStillCompletes)
 {
     // A 4-slot pool models a finite hardware checkpoint file. gcc
@@ -242,7 +211,7 @@ TEST(CheckpointProperty, JournalRestoreMatchesFullCopy)
     // Two identical front-ends walk the same program and take a
     // checkpoint at every branch while slots are available. One
     // records pooled-style state (reusable walker slots, RAS
-    // journal positions, history); the other records legacy
+    // journal positions, history); the other records reference
     // full copies. Under random steering, random restores to any
     // live checkpoint, and random oldest-first releases (with
     // journal trims), every observable -- instruction stream,
@@ -268,7 +237,7 @@ TEST(CheckpointProperty, JournalRestoreMatchesFullCopy)
         workload::WInst wi; ///< the branch, for re-steering
         unsigned slotIdx;   ///< pooled walker state
         branch::PredictorSnapshot snapJ;
-        workload::WalkerCkpt full; ///< legacy walker copy
+        workload::WalkerCkpt full; ///< reference walker copy
         branch::PredictorSnapshotFull snapF;
     };
     std::deque<Ckpt> live;

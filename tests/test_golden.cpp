@@ -7,7 +7,7 @@
  *    state tracks last writes, control flow follows actual outcomes);
  *  - diff-checked simulations across every figure/ablation
  *    configuration (schemes, widths, PRF sizes, scheduler sizes,
- *    narrow-value widths, pooled vs legacy checkpoints);
+ *    narrow-value widths);
  *  - fault injection: each planted bug is silent to the core's own
  *    assertions but must kill the run once the checker watches it.
  */
@@ -139,16 +139,6 @@ TEST(DiffChecker, FpBenchmarkEightWide)
          {sim::Scheme::Base, sim::Scheme::PriRefcountCkptcount,
           sim::Scheme::PriPlusEr, sim::Scheme::InfinitePregs})
         expectClean(checkedParams("art", 8, s));
-}
-
-TEST(DiffChecker, LegacyCheckpointPath)
-{
-    for (sim::Scheme s :
-         {sim::Scheme::Base, sim::Scheme::PriRefcountCkptcount}) {
-        auto p = checkedParams("crafty", 4, s);
-        p.pooledCheckpoints = false;
-        expectClean(p);
-    }
 }
 
 TEST(DiffChecker, PrfSizeSweep)

@@ -3,9 +3,8 @@
  * Tests for batched SoA sweep execution (sim/batch/sweep_batch.hh):
  * batch formation by workload fingerprint, full-report byte
  * equality between batched and serial execution across schemes,
- * widths, and seeds, early lane retirement, straggler lanes, the
- * PRI_LEGACY_BATCH escape hatch, and journal interaction (hits are
- * excluded before batches form).
+ * widths, and seeds, early lane retirement, straggler lanes, and
+ * journal interaction (hits are excluded before batches form).
  *
  * The CMake registration runs this binary twice: once with the
  * default (coarse) batch quantum and once with PRI_BATCH_QUANTUM
@@ -15,8 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -288,26 +288,6 @@ TEST(SweepBatch, StragglerLaneMatchesSerial)
     }
 }
 
-/** PRI_LEGACY_BATCH=1 forces the serial path process-wide, and its
- *  results are (by the equality property) indistinguishable. */
-TEST(SweepBatch, LegacyBatchEnvForcesSerialPath)
-{
-    auto grid = schemeGrid();
-    grid.resize(8);
-    const auto ref = serialReference(grid);
-
-    ASSERT_EQ(::setenv("PRI_LEGACY_BATCH", "1", 1), 0);
-    SimulationRunner runner(2);
-    runner.setBatchLanes(16);
-    const auto out = runner.runCaptured(grid);
-    ::unsetenv("PRI_LEGACY_BATCH");
-
-    for (size_t i = 0; i < grid.size(); ++i) {
-        ASSERT_TRUE(out[i].ok()) << out[i].error;
-        EXPECT_EQ(out[i].result.report, ref[i].report);
-    }
-}
-
 /**
  * Journal hits are excluded before batch formation: a resumed sweep
  * serves finished points from the journal (zero attempts), batches
@@ -317,8 +297,10 @@ TEST(SweepBatch, LegacyBatchEnvForcesSerialPath)
  */
 TEST(SweepBatch, JournalHitsExcludedBeforeFormation)
 {
-    const std::string path =
-        testing::TempDir() + "pri_test_journal_batch";
+    // Per-process name: ctest runs this binary twice (default and
+    // fine quantum), possibly at the same time.
+    const std::string path = testing::TempDir() +
+        "pri_test_journal_batch." + std::to_string(::getpid());
     std::remove(path.c_str());
 
     auto grid = schemeGrid();

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the pri_sweepd sweep daemon stack: the shared PRIJ3 /
- * PRIP2 codec (field lists pinned, journal interop), the on-disk
+ * PRIP3 codec (field lists and paramsHash values pinned, journal
+ * interop), the on-disk
  * content-addressed store (round trip, torn-write recovery, version
  * invalidation), and the daemon itself — in-flight dedup across
  * concurrent clients, worker-SIGKILL isolation with byte-identical
@@ -138,24 +139,50 @@ TEST(ResultCodec, PinsPrij3FieldList)
     EXPECT_STREQ(sim::codec::kResultTag, "PRIJ3");
 }
 
-/** Same pin for PRIP2: exactly the paramsHash()-audited fields,
+/** Same pin for PRIP3: exactly the paramsHash()-audited fields,
  *  which since the fault framework include the FaultSpec. */
-TEST(ResultCodec, PinsPrip2FieldList)
+TEST(ResultCodec, PinsPrip3FieldList)
 {
-    ASSERT_EQ(sim::codec::kParamsFields, 24u);
+    ASSERT_EQ(sim::codec::kParamsFields, 21u);
     const std::vector<std::string> want = {
         "tag", "benchmark", "width", "scheme", "physRegs",
         "warmupInsts", "measureInsts", "seed", "checkGolden",
         "schedSizeOverride", "narrowBitsOverride", "injectFault",
-        "injectFreeWithoutInline", "prfReadPorts",
-        "pooledCheckpoints", "eventWakeup", "cycleBudget",
-        "tracedFrontEnd", "faultSite", "faultMutation",
-        "faultTrigger", "faultTriggerArg", "faultSeed", "sentinel"};
+        "injectFreeWithoutInline", "prfReadPorts", "cycleBudget",
+        "faultSite", "faultMutation", "faultTrigger",
+        "faultTriggerArg", "faultSeed", "sentinel"};
     ASSERT_EQ(want.size(), sim::codec::kParamsFields);
     for (size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(sim::codec::kParamsFieldNames[i], want[i])
-            << "PRIP2 field " << i;
-    EXPECT_STREQ(sim::codec::kParamsTag, "PRIP2");
+            << "PRIP3 field " << i;
+    EXPECT_STREQ(sim::codec::kParamsTag, "PRIP3");
+}
+
+/** paramsHash values are the key of every journal record and store
+ *  entry: pinned literals guard that a RunParams change never moves
+ *  an existing key unnoticed. */
+TEST(ResultCodec, ParamsHashValuesPinned)
+{
+    EXPECT_EQ(sim::paramsHash(sim::RunParams{}),
+              0xfa33f678bcaa17f5ULL);
+
+    sim::RunParams ported;
+    ported.benchmark = "gcc";
+    ported.width = 8;
+    ported.scheme = sim::Scheme::PriRefcountCkptcount;
+    ported.prfReadPorts = 2;
+    ported.cycleBudget = 2000000;
+    EXPECT_EQ(sim::paramsHash(ported), 0x513f3a92cc2881acULL);
+
+    sim::RunParams fault;
+    fault.benchmark = "mcf";
+    fault.scheme = sim::Scheme::PriIdealLazy;
+    fault.faultSpec.site = faults::FaultSite::MapTable;
+    fault.faultSpec.mutation = faults::FaultMutation::StaleValue;
+    fault.faultSpec.trigger = faults::FaultTrigger::SeededDraw;
+    fault.faultSpec.triggerArg = 9000;
+    fault.faultSpec.seed = 0xdecafu;
+    EXPECT_EQ(sim::paramsHash(fault), 0x84b511eb761aa6c8ULL);
 }
 
 /** A params line carries the hash-audited fields bit-exactly: the
@@ -166,7 +193,6 @@ TEST(ResultCodec, ParamsLineRoundTripsTheHash)
     batch[0].prfReadPorts = 6;
     batch[1].checkGolden = true;
     batch[2].cycleBudget = 123456;
-    batch[3].tracedFrontEnd = false;
     batch[3].faultSpec.site = faults::FaultSite::MapTable;
     batch[3].faultSpec.mutation = faults::FaultMutation::StaleValue;
     batch[3].faultSpec.trigger = faults::FaultTrigger::SeededDraw;
@@ -182,8 +208,8 @@ TEST(ResultCodec, ParamsLineRoundTripsTheHash)
         EXPECT_EQ(parsed.timeoutMs, 777u);
     }
     sim::RunParams junk;
+    EXPECT_FALSE(sim::codec::parseParamsLine("PRIP3\tgzip", junk));
     EXPECT_FALSE(sim::codec::parseParamsLine("PRIP2\tgzip", junk));
-    EXPECT_FALSE(sim::codec::parseParamsLine("PRIP1\tgzip", junk));
     EXPECT_FALSE(sim::codec::parseParamsLine("", junk));
 }
 
