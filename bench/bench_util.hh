@@ -18,14 +18,11 @@
  * printing code hit the cache, so the emitted tables are
  * byte-identical to serial execution (--jobs 1).
  *
- * With --server PATH (or $PRI_SWEEPD) the uncached points go to a
- * running pri_sweepd daemon instead of the in-process pool: its
- * content-addressed store turns re-runs into cache hits that
- * persist across harness invocations and are shared between
- * concurrent harnesses. Results are bit-exact either way (PRIJ2
- * hexfloat round-trip), so --server never changes a single output
- * byte; an unreachable daemon degrades to the local path with a
- * warning on stderr.
+ * With --journal FILE every simulated point is persisted to a sweep
+ * journal (sim/journal.hh), the one result cache: rerunning the same
+ * command resumes a crashed sweep or, once the grid is complete,
+ * serves every point without simulating. Journaled results are
+ * bit-exact, so the emitted tables never change by a byte.
  */
 
 #ifndef PRI_BENCH_BENCH_UTIL_HH
@@ -47,7 +44,6 @@
 #include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
-#include "sweepd/client.hh"
 #include "workload/profile.hh"
 #include "workload/trace/trace_cache.hh"
 
@@ -94,26 +90,21 @@ struct Options
     uint64_t timeoutMs = 0;  ///< --timeout-ms N: per-run wall budget
     unsigned retries = 0;    ///< --retries N: re-attempts per point
     unsigned backoffMs = 0;  ///< --backoff-ms N: sleep between tries
-    /** --server PATH (default $PRI_SWEEPD): pri_sweepd socket to
-     *  offload uncached points to; empty = in-process only. */
-    std::string serverPath;
 };
 
 namespace detail
 {
 
 /** Process-wide resilience state the option parser arms and the
- *  prefetcher / runOne() consume: retry policy, per-run wall-clock
- *  budget, and (when --journal is given) the shared sweep journal. */
+ *  prefetcher / runOne() / fig_fault_avf consume: retry policy,
+ *  per-run wall-clock budget, and (when --journal is given) the
+ *  process's one sweep journal. */
 struct Resilience
 {
     sim::RetryPolicy retry;
     uint64_t timeoutMs = 0;
     unsigned batchLanes = 0; ///< 0 = auto
     std::unique_ptr<sim::SweepJournal> journal;
-    std::string serverPath; ///< pri_sweepd socket; "" = local only
-    std::unique_ptr<sweepd::SweepdClient> client;
-    bool clientTried = false; ///< warn-once / connect-once latch
 };
 
 inline Resilience &
@@ -125,8 +116,8 @@ resilience()
 
 } // namespace detail
 
-/** Parse --quick / --full / --jobs N / --json FILE / --journal FILE
- *  / --timeout-ms N / --retries N / --backoff-ms N / --server PATH
+/** Parse --quick / --full / --jobs N / --batch K / --json FILE /
+ *  --journal FILE / --timeout-ms N / --retries N / --backoff-ms N
  *  from argv. Also installs the fatal-signal handlers so a crashed
  *  harness leaves a flight-recorder dump naming the run it died
  *  in. */
@@ -159,20 +150,12 @@ parseOptions(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--backoff-ms") == 0 &&
                    i + 1 < argc) {
             o.backoffMs = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--server") == 0 &&
-                   i + 1 < argc) {
-            o.serverPath = argv[++i];
         }
-    }
-    if (o.serverPath.empty()) {
-        if (const char *env = std::getenv("PRI_SWEEPD"))
-            o.serverPath = env;
     }
     auto &rz = detail::resilience();
     rz.retry = sim::RetryPolicy{o.retries + 1, o.backoffMs};
     rz.timeoutMs = o.timeoutMs;
     rz.batchLanes = o.batchLanes;
-    rz.serverPath = o.serverPath;
     if (!o.journalPath.empty() && rz.journal == nullptr) {
         rz.journal =
             std::make_unique<sim::SweepJournal>(o.journalPath);
@@ -311,98 +294,6 @@ cacheInsert(const PointKey &key, sim::RunResult avg)
     return it->second;
 }
 
-/** The lazily-connected pri_sweepd client; null when --server /
- *  $PRI_SWEEPD is absent or the daemon is unreachable (warned
- *  once). */
-inline sweepd::SweepdClient *
-daemonClient()
-{
-    auto &rz = resilience();
-    if (!rz.clientTried) {
-        rz.clientTried = true;
-        if (!rz.serverPath.empty()) {
-            rz.client = sweepd::SweepdClient::connect(rz.serverPath);
-            if (rz.client == nullptr) {
-                warn("no pri_sweepd on '{}'; simulating in-process",
-                     rz.serverPath);
-            }
-        }
-    }
-    return rz.client.get();
-}
-
-/**
- * The one resilient batch executor behind prefetchPoints() and
- * runOne(). The journal prefilter is hoisted here — one key pass
- * per batch against the journal loaded once per process — and
- * feeds both execution paths: points still pending go to the
- * pri_sweepd daemon when one is configured and reachable (fresh
- * daemon results are recorded back into the journal so the two
- * caches never diverge), otherwise through the in-process
- * SimulationRunner. A daemon that fails a point — or the
- * connection dying mid-stream — degrades those points to the
- * local path, where the usual retry/fatal handling applies.
- * Results are bit-exact on every path, so emitted tables are
- * byte-identical with or without a daemon.
- */
-inline std::vector<sim::RunResult>
-runBatchResilient(const std::vector<sim::RunParams> &batch,
-                  unsigned jobs)
-{
-    auto &rz = resilience();
-    std::vector<sim::RunResult> results(batch.size());
-    std::vector<uint64_t> keys(batch.size());
-    std::vector<size_t> pending;
-    pending.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        keys[i] = sim::paramsHash(batch[i]);
-        if (rz.journal != nullptr &&
-            rz.journal->lookup(keys[i], results[i]))
-            continue;
-        pending.push_back(i);
-    }
-    if (pending.empty())
-        return results;
-
-    if (auto *client = daemonClient()) {
-        std::vector<sim::RunParams> submit;
-        submit.reserve(pending.size());
-        for (size_t i : pending)
-            submit.push_back(batch[i]);
-        const auto outcomes = client->submit(submit);
-        std::vector<size_t> still;
-        for (size_t k = 0; k < pending.size(); ++k) {
-            const size_t i = pending[k];
-            if (outcomes[k].ok()) {
-                results[i] = outcomes[k].result;
-                if (rz.journal != nullptr)
-                    rz.journal->record(keys[i], results[i]);
-            } else {
-                still.push_back(i);
-            }
-        }
-        pending.swap(still);
-        if (!pending.empty()) {
-            warn("pri_sweepd left {} point(s) unresolved; "
-                 "running them in-process",
-                 pending.size());
-        }
-    }
-    if (pending.empty())
-        return results;
-
-    std::vector<sim::RunParams> local;
-    local.reserve(pending.size());
-    for (size_t i : pending)
-        local.push_back(batch[i]);
-    // The runner re-checks the journal (guaranteed misses here) and
-    // records what it simulates, exactly as before.
-    const auto fresh = makeRunner(jobs).run(local);
-    for (size_t k = 0; k < pending.size(); ++k)
-        results[pending[k]] = fresh[k];
-    return results;
-}
-
 } // namespace detail
 
 /**
@@ -431,7 +322,7 @@ prefetchPoints(const std::vector<Point> &points, const Options &opts)
     if (batch.empty())
         return;
 
-    const auto results = detail::runBatchResilient(batch, opts.jobs);
+    const auto results = detail::makeRunner(opts.jobs).run(batch);
 
     constexpr size_t n_seeds = std::size(kSeeds);
     for (size_t i = 0; i < todo.size(); ++i) {
@@ -517,11 +408,10 @@ runOne(const std::string &bench, unsigned width, sim::Scheme scheme,
     batch.reserve(std::size(kSeeds));
     for (uint64_t seed : kSeeds)
         batch.push_back(detail::paramsFor(pt, budget, seed));
-    // Through the shared executor rather than bare simulate():
-    // cache misses in the printing code get the same journal
-    // prefilter, daemon offload, and retry handling as prefetched
-    // points.
-    const auto per_seed = detail::runBatchResilient(batch, 1);
+    // Through the harness runner rather than bare simulate():
+    // cache misses in the printing code get the same journal and
+    // retry handling as prefetched points.
+    const auto per_seed = detail::makeRunner(1).run(batch);
     return detail::cacheInsert(
         key, detail::averageResults(per_seed));
 }

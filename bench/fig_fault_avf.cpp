@@ -17,8 +17,7 @@
  * Everything is deterministic: injection specs are pure functions
  * of the campaign seed, and classification consumes only bit-exact
  * run artifacts, so the table and BENCH_faults.json are
- * byte-identical across --jobs, --batch, --journal resume, and a
- * warm pri_sweepd (--server).
+ * byte-identical across --jobs, --batch and --journal resume.
  *
  * Extra options on top of the common set:
  *   --injections N   strikes per (scheme, site) cell (default 16;
@@ -144,21 +143,8 @@ main(int argc, char **argv)
     exec.jobs = opts.jobs;
     exec.batchLanes = opts.batchLanes;
     exec.retry = sim::RetryPolicy{opts.retries + 1, opts.backoffMs};
-    std::unique_ptr<sim::SweepJournal> journal;
-    if (!opts.journalPath.empty()) {
-        journal =
-            std::make_unique<sim::SweepJournal>(opts.journalPath);
-        exec.journal = journal.get();
-    }
-    std::unique_ptr<sweepd::SweepdClient> client;
-    if (!opts.serverPath.empty()) {
-        client = sweepd::SweepdClient::connect(opts.serverPath);
-        if (client == nullptr) {
-            warn("no pri_sweepd on '{}'; simulating in-process",
-                 opts.serverPath);
-        }
-        exec.client = client.get();
-    }
+    // parseOptions() already opened --journal; one writer per file.
+    exec.journal = bench::detail::resilience().journal.get();
 
     std::printf("Soft-error vulnerability (single-strike "
                 "campaigns): %s, width %u, %u PR, %u strikes "

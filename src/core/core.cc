@@ -65,7 +65,7 @@ OutOfOrderCore::OutOfOrderCore(
         // up front; NthAccess counts site accesses instead. Either
         // way the strike lands at the top of one specific cycle —
         // a single sequencing point, so the faulted run is byte-
-        // identical across jobs/batch/journal/daemon paths.
+        // identical across jobs/batch/journal paths.
         const auto &fs = cfg.faultSpec;
         if (fs.trigger == faults::FaultTrigger::AtCycle) {
             faultFireCycle_ = fs.triggerArg;

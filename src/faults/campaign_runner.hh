@@ -4,9 +4,9 @@
  *
  * A campaign is a declarative grid — schemes × fault sites × N
  * seeded injections — expanded into ordinary RunParams and executed
- * through the same resilient machinery every sweep uses: journal
- * prefilter, optional pri_sweepd offload, then the in-process
- * SimulationRunner with capture-not-fatal semantics. One reference
+ * through the same machinery every sweep uses: the in-process
+ * SimulationRunner with capture-not-fatal semantics, consulting and
+ * filling the sweep journal when one is given. One reference
  * (fault-free) run per scheme anchors the classification; every
  * injection is then sorted into exactly one FaultOutcome bucket by
  * classifyOutcome(). A crashed or hung injection is just a counted
@@ -17,14 +17,14 @@
  * (submission-order scatter), and classification consumes only
  * bit-exact fields (report, archSig, stalled flag, the golden
  * divergence marker). Tables built from a CampaignTable are
- * therefore byte-identical across --jobs, --batch, journal resume,
- * and a warm daemon.
+ * therefore byte-identical across --jobs, --batch and journal
+ * resume.
  *
  * Header-only by design: pri_faults itself stays below pri_sim in
  * the link order (core structures include fault_spec.hh), while
- * this driver needs the runner and the sweepd client — so the
- * binaries that run campaigns (bench harnesses, tests, CI drills)
- * include it and link pri_sim/pri_sweepd themselves.
+ * this header needs the runner — so the binaries that run campaigns
+ * (bench harnesses, tests, CI drills) include it and link pri_sim
+ * themselves.
  */
 
 #ifndef PRI_FAULTS_CAMPAIGN_RUNNER_HH
@@ -35,11 +35,9 @@
 #include <vector>
 
 #include "common/hashing.hh"
-#include "common/logging.hh"
 #include "faults/campaign.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
-#include "sweepd/client.hh"
 
 namespace pri::faults
 {
@@ -72,14 +70,13 @@ struct CampaignSpec
     uint64_t timeoutMs = 0;
 };
 
-/** Execution environment: reuse the harness's pool/journal/daemon. */
+/** Execution environment: reuse the harness's pool and journal. */
 struct CampaignExec
 {
     unsigned jobs = 0;       ///< 0 = hardware_concurrency
     unsigned batchLanes = 0; ///< 0 = auto
     sim::RetryPolicy retry{1, 0};
-    sim::SweepJournal *journal = nullptr;  ///< optional
-    sweepd::SweepdClient *client = nullptr; ///< optional daemon
+    sim::SweepJournal *journal = nullptr; ///< optional
 };
 
 /** Campaign output: per-(scheme, site) outcome counts. */
@@ -124,66 +121,25 @@ campaignInjection(const CampaignSpec &spec, size_t scheme_idx,
         window);
 }
 
-/**
- * Run @p batch with capture-not-fatal semantics through the
- * resilient path: journal prefilter (inside the runner), optional
- * daemon offload for the points a warm store can serve, local
- * simulation for everything else. Daemon failures of any kind
- * degrade to local re-execution — the daemon is a cache, never an
- * authority on failures — so the returned outcomes are identical
- * with or without one.
- */
+/** Run @p batch with capture-not-fatal semantics on the
+ *  campaign's pool; journaled points are served, not simulated. */
 inline std::vector<sim::SimulationRunner::Outcome>
 runCampaignBatch(const std::vector<sim::RunParams> &batch,
                  const CampaignExec &exec)
 {
-    std::vector<sim::SimulationRunner::Outcome> out(batch.size());
-    std::vector<size_t> pending;
-    pending.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i)
-        pending.push_back(i);
-
-    if (exec.client != nullptr && !batch.empty()) {
-        const auto served = exec.client->submit(batch);
-        std::vector<size_t> still;
-        for (size_t i = 0; i < batch.size(); ++i) {
-            if (served[i].ok()) {
-                out[i].result = served[i].result;
-                out[i].error.clear();
-                out[i].attempts = 1;
-                if (exec.journal != nullptr) {
-                    exec.journal->record(sim::paramsHash(batch[i]),
-                                         out[i].result);
-                }
-            } else {
-                still.push_back(i);
-            }
-        }
-        pending.swap(still);
-    }
-
-    if (!pending.empty()) {
-        std::vector<sim::RunParams> local;
-        local.reserve(pending.size());
-        for (size_t i : pending)
-            local.push_back(batch[i]);
-        sim::SimulationRunner runner(exec.jobs);
-        runner.setBatchLanes(exec.batchLanes);
-        runner.setRetryPolicy(exec.retry);
-        runner.setJournal(exec.journal);
-        const auto fresh = runner.runCaptured(local);
-        for (size_t k = 0; k < pending.size(); ++k)
-            out[pending[k]] = fresh[k];
-    }
-    return out;
+    sim::SimulationRunner runner(exec.jobs);
+    runner.setBatchLanes(exec.batchLanes);
+    runner.setRetryPolicy(exec.retry);
+    runner.setJournal(exec.journal);
+    return runner.runCaptured(batch);
 }
 
 /**
  * Execute the full campaign: one reference run per scheme, then
  * schemes × sites × N injections, classified into the outcome
  * table. Total by construction — every injection lands in exactly
- * one bucket, and no injection outcome (crash, hang, daemon loss)
- * can abort the sweep.
+ * one bucket, and no injection outcome (crash, hang) can abort the
+ * sweep.
  */
 inline CampaignTable
 runCampaign(const CampaignSpec &spec, const CampaignExec &exec)

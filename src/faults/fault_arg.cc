@@ -11,7 +11,7 @@ namespace
 
 const char kKindList[] =
     "valid kinds: wedge, wrong-path, stale-gidx, port-overgrant, "
-    "kill@K, or SITE:MUT:TRIG=N[:seed=S] with SITE one of "
+    "or SITE:MUT:TRIG=N[:seed=S] with SITE one of "
     "prf|map|freelist|wake|ckpt|lsq, MUT one of flip|stale|zero, "
     "TRIG one of cycle|access|draw (append @POINT to restrict to "
     "one sweep point)";
@@ -90,20 +90,6 @@ parseFaultArg(const std::string &text, FaultArg &out,
 {
     out = FaultArg{};
     err.clear();
-
-    // Daemon crash drill: kill@K (the '@' is the dispatch ordinal,
-    // not a sweep-point restriction).
-    if (text.rfind("kill@", 0) == 0) {
-        uint64_t k = 0;
-        if (!parseU64(text.substr(5), k)) {
-            err = "bad kill dispatch in '" + text + "'; " +
-                kKindList;
-            return false;
-        }
-        out.kill = true;
-        out.killDispatch = static_cast<unsigned long>(k);
-        return true;
-    }
 
     std::string body = text;
     const size_t at = body.rfind('@');

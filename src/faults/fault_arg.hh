@@ -2,20 +2,17 @@
  * @file
  * One shared parser for every `--inject-fault` flavour.
  *
- * Historically `src/sim/main.cc` and `src/sweepd/main.cc` each
- * hand-rolled their own string parser (legacy planted-bug kinds vs.
- * the daemon's `kill@K` drill). This helper owns the grammar for
- * all of them plus the declarative FaultSpec form, so the CLIs,
- * tests, and campaign drivers agree on one syntax and one error
- * message listing the valid kinds.
+ * This helper owns the grammar for the legacy planted-bug kinds and
+ * the declarative FaultSpec form, so the CLI, tests, and campaigns
+ * agree on one syntax and one error message listing the valid
+ * kinds.
  *
  * Grammar (one argument):
  *   wedge | wrong-path | stale-gidx | port-overgrant   legacy bugs
- *   kill@K                                             daemon drill
  *   SITE:MUT:TRIG=N[:seed=S]                           FaultSpec
- * any of which (except kill@K) may end in `@POINT` to restrict the
- * fault to one sweep point. SITE is prf|map|freelist|wake|ckpt|lsq,
- * MUT is flip|stale|zero, TRIG is cycle|access|draw.
+ * either of which may end in `@POINT` to restrict the fault to one
+ * sweep point. SITE is prf|map|freelist|wake|ckpt|lsq, MUT is
+ * flip|stale|zero, TRIG is cycle|access|draw.
  */
 
 #ifndef PRI_FAULTS_FAULT_ARG_HH
@@ -36,9 +33,6 @@ struct FaultArg
     core::InjectedFault legacy = core::InjectedFault::None;
     /** Declarative transient fault (disabled if another form). */
     FaultSpec spec;
-    /** Daemon worker-kill drill (`kill@K`). */
-    bool kill = false;
-    unsigned long killDispatch = 0;
     /** Sweep point restriction (`@POINT`); -1 = every point. */
     long point = -1;
 };

@@ -54,8 +54,10 @@ SweepJournal::load()
     }
     // A trailing fragment with no newline is the classic torn write;
     // count it with the malformed lines and let the point rerun.
-    if (!line.empty())
+    if (!line.empty()) {
         ++skipped;
+        tornTail = true;
+    }
     std::fclose(in);
     if (skipped > 0) {
         std::fprintf(stderr,
@@ -88,6 +90,10 @@ SweepJournal::record(uint64_t key, const RunResult &result)
     std::lock_guard<std::mutex> lock(mu);
     if (!entries.emplace(key, result).second)
         return; // duplicate point already persisted
+    if (tornTail) {
+        std::fputc('\n', file);
+        tornTail = false;
+    }
     std::fwrite(line.data(), 1, line.size(), file);
     std::fflush(file);
     ++appended;

@@ -1,22 +1,24 @@
 /**
  * @file
- * SweepJournal: a crash-tolerant manifest of completed simulation
- * points, keyed by paramsHash().
+ * SweepJournal: the one result cache. A crash-tolerant manifest of
+ * completed simulation points, keyed by paramsHash().
  *
  * Every successfully simulated RunParams is appended to the journal
- * file as one self-contained PRIJ3 line (sim/result_codec.hh — the
- * same audited serializer the pri_sweepd result store uses, so the
- * two caches can never skew: all RunResult fields, doubles in
- * hexfloat so they round-trip bit-exactly, the stats report with
- * newlines/tabs escaped) and flushed immediately. On construction
- * the journal loads every well-formed line of an existing file, so
- * a sweep that died — SIGKILL, OOM, power, a crashed sibling — can
- * be rerun with the same flags and only the missing points
- * simulate; the finished report is byte-identical to an
- * uninterrupted run because journaled results are bit-exact.
+ * file as one self-contained PRIJ3 line (sim/result_codec.hh: all
+ * RunResult fields, doubles in hexfloat so they round-trip
+ * bit-exactly, the stats report with newlines/tabs escaped) and
+ * flushed immediately. On construction the journal loads every
+ * well-formed line of an existing file, so a sweep that died —
+ * SIGKILL, OOM, power, a crashed sibling — can be rerun with the
+ * same flags and only the missing points simulate, and a warm rerun
+ * of a finished sweep simulates nothing. Either way the report is
+ * byte-identical to an uninterrupted run because journaled results
+ * are bit-exact.
  *
  * A line torn mid-write by the crash simply fails validation (field
- * count + trailing sentinel) and is skipped: that point reruns.
+ * count + trailing sentinel) and is skipped: that point reruns. If
+ * the file ends in such a fragment, the first append of the resumed
+ * run starts a fresh line, so the fragment cannot swallow it.
  * Appends take a mutex (workers finish out of order) and the file
  * is append-only, so two processes must not share one journal.
  *
@@ -82,6 +84,9 @@ class SweepJournal
     std::map<uint64_t, RunResult> entries;
     size_t loaded = 0;
     size_t appended = 0;
+    /** The file ended in a torn fragment: terminate it before the
+     *  first append. */
+    bool tornTail = false;
     /** PRI_JOURNAL_KILL_AFTER (0 = off): see @file. */
     size_t killAfter = 0;
 };

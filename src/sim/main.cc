@@ -205,10 +205,6 @@ main(int argc, char **argv)
             std::string err;
             if (!pri::faults::parseFaultArg(next(), fault, err))
                 pri::fatal("{}", err);
-            if (fault.kill) {
-                pri::fatal("--inject-fault kill@K drills sweepd "
-                           "workers; pri_sim has none");
-            }
         } else if (a == "-l" || a == "--list") {
             for (const auto &prof : pri::workload::allProfiles())
                 std::printf("%s\n", prof.name.c_str());
@@ -297,8 +293,7 @@ main(int argc, char **argv)
     }
 
     const std::string failures =
-        pri::sim::SimulationRunner::describeFailures(outcomes,
-                                                     batch);
+        pri::sim::SimulationRunner::describeFailures(outcomes);
     if (!failures.empty()) {
         std::fprintf(stderr, "\n%s", failures.c_str());
         // Full (multi-line) errors, flight-recorder dumps included.

@@ -2,10 +2,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 namespace pri::sim::codec
 {
 
+namespace
+{
+
+/** Escape tabs/newlines/backslashes so a report is one field. */
 std::string
 escape(const std::string &s)
 {
@@ -41,12 +46,12 @@ unescape(const std::string &s)
     return out;
 }
 
+/** Split @p line on tabs (no unescaping; fields are raw). */
 std::vector<std::string>
 splitTabs(const std::string &line)
 {
-    // Tolerate one trailing newline so both stripped journal/store
-    // lines and raw frame bodies (which keep the '\n' the formatter
-    // appended) parse identically.
+    // Tolerate one trailing newline so a line straight from
+    // formatResultLine() parses like a stripped journal line.
     const size_t end = !line.empty() && line.back() == '\n'
         ? line.size() - 1
         : line.size();
@@ -63,9 +68,6 @@ splitTabs(const std::string &line)
     }
 }
 
-namespace
-{
-
 bool
 parseU64(const std::string &s, uint64_t &out, int base = 10)
 {
@@ -75,7 +77,7 @@ parseU64(const std::string &s, uint64_t &out, int base = 10)
 }
 
 // Doubles are written with %a (hexfloat), which strtod parses back
-// to the exact same bits — resumed/served reports stay identical.
+// to the exact same bits — resumed reports stay identical.
 bool
 parseF64(const std::string &s, double &out)
 {
@@ -201,77 +203,6 @@ parseResultLine(const std::string &line, uint64_t &key, RunResult &r)
     ok = ok && parseF64(f[21], r.portInlineBypassFrac);
     ok = ok && parseU64(f[22], r.archSig, 16);
     r.report = unescape(f[23]);
-    return ok;
-}
-
-std::string
-formatParamsLine(const RunParams &p)
-{
-    LineBuilder b(kParamsTag);
-    b.add(escape(p.benchmark));
-    b.addU64(p.width);
-    b.addU64(static_cast<uint64_t>(p.scheme));
-    b.addU64(p.physRegs);
-    b.addU64(p.warmupInsts);
-    b.addU64(p.measureInsts);
-    b.addU64(p.seed);
-    b.addU64(p.checkGolden ? 1 : 0);
-    b.addU64(p.schedSizeOverride);
-    b.addU64(p.narrowBitsOverride);
-    b.addU64(static_cast<uint64_t>(p.injectFault));
-    b.addU64(p.injectFreeWithoutInline ? 1 : 0);
-    b.addU64(p.prfReadPorts);
-    b.addU64(p.cycleBudget);
-    b.addU64(static_cast<uint64_t>(p.faultSpec.site));
-    b.addU64(static_cast<uint64_t>(p.faultSpec.mutation));
-    b.addU64(static_cast<uint64_t>(p.faultSpec.trigger));
-    b.addU64(p.faultSpec.triggerArg);
-    b.addU64(p.faultSpec.seed);
-    return b.finish();
-}
-
-bool
-parseParamsLine(const std::string &line, RunParams &p)
-{
-    const auto f = splitTabs(line);
-    if (f.size() != kParamsFields || f[0] != kParamsTag ||
-        f[kParamsFields - 1] != ".") {
-        return false;
-    }
-
-    p.benchmark = unescape(f[1]);
-
-    uint64_t v = 0;
-    bool ok = parseU64(f[2], v);
-    p.width = static_cast<unsigned>(v);
-    ok = ok && parseU64(f[3], v);
-    p.scheme = static_cast<Scheme>(v);
-    ok = ok && parseU64(f[4], v);
-    p.physRegs = static_cast<unsigned>(v);
-    ok = ok && parseU64(f[5], p.warmupInsts);
-    ok = ok && parseU64(f[6], p.measureInsts);
-    ok = ok && parseU64(f[7], p.seed);
-    ok = ok && parseU64(f[8], v);
-    p.checkGolden = v != 0;
-    ok = ok && parseU64(f[9], v);
-    p.schedSizeOverride = static_cast<unsigned>(v);
-    ok = ok && parseU64(f[10], v);
-    p.narrowBitsOverride = static_cast<unsigned>(v);
-    ok = ok && parseU64(f[11], v);
-    p.injectFault = static_cast<core::InjectedFault>(v);
-    ok = ok && parseU64(f[12], v);
-    p.injectFreeWithoutInline = v != 0;
-    ok = ok && parseU64(f[13], v);
-    p.prfReadPorts = static_cast<unsigned>(v);
-    ok = ok && parseU64(f[14], p.cycleBudget);
-    ok = ok && parseU64(f[15], v);
-    p.faultSpec.site = static_cast<faults::FaultSite>(v);
-    ok = ok && parseU64(f[16], v);
-    p.faultSpec.mutation = static_cast<faults::FaultMutation>(v);
-    ok = ok && parseU64(f[17], v);
-    p.faultSpec.trigger = static_cast<faults::FaultTrigger>(v);
-    ok = ok && parseU64(f[18], p.faultSpec.triggerArg);
-    ok = ok && parseU64(f[19], p.faultSpec.seed);
     return ok;
 }
 

@@ -223,9 +223,7 @@ SimulationRunner::runCaptured(const std::vector<RunParams> &batch) const
 }
 
 std::string
-SimulationRunner::describeFailures(
-    const std::vector<Outcome> &outcomes,
-    const std::vector<RunParams> &batch)
+SimulationRunner::describeFailures(const std::vector<Outcome> &outcomes)
 {
     size_t failed = 0;
     for (const auto &o : outcomes)
@@ -233,7 +231,6 @@ SimulationRunner::describeFailures(
     if (failed == 0)
         return "";
 
-    (void)batch;
     std::string table = fmtStr("{} of {} runs failed:\n", failed,
                                outcomes.size());
     for (const auto &o : outcomes) {

@@ -123,8 +123,7 @@ class SimulationRunner
      * of the error). Empty string when every outcome is ok.
      */
     static std::string
-    describeFailures(const std::vector<Outcome> &outcomes,
-                     const std::vector<RunParams> &batch);
+    describeFailures(const std::vector<Outcome> &outcomes);
 
     /**
      * Generic indexed parallel-for for harnesses whose sweep points

@@ -56,16 +56,6 @@ TEST(FaultArg, ParsesLegacyKindsAndPoint)
     EXPECT_EQ(a.point, 3);
 }
 
-TEST(FaultArg, ParsesKillDrill)
-{
-    faults::FaultArg a;
-    std::string err;
-    ASSERT_TRUE(faults::parseFaultArg("kill@5", a, err));
-    EXPECT_TRUE(a.kill);
-    EXPECT_EQ(a.killDispatch, 5ul);
-    EXPECT_EQ(a.legacy, core::InjectedFault::None);
-}
-
 TEST(FaultArg, ParsesFaultSpecGrammar)
 {
     faults::FaultArg a;

@@ -4,6 +4,11 @@
  * bit-identical to direct serial simulate() calls regardless of the
  * worker count, in submission order, across repeated invocations;
  * exceptions from workers must propagate or be captured per-run.
+ *
+ * Also the result cache: the sweep journal serves completed points
+ * and survives torn writes, and the PRIJ3 codec's field list and
+ * literal paramsHash() values are pinned, because every existing
+ * journal and the bench/perf digests depend on them.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +19,9 @@
 #include <vector>
 
 #include "core/core.hh"
+#include "faults/fault_spec.hh"
 #include "sim/journal.hh"
+#include "sim/result_codec.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
 
@@ -51,6 +58,8 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.ipc, b.ipc);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.insts, b.insts);
+    EXPECT_EQ(a.committedTotal, b.committedTotal);
+    EXPECT_EQ(a.goldenChecked, b.goldenChecked);
     EXPECT_EQ(a.avgIntOccupancy, b.avgIntOccupancy);
     EXPECT_EQ(a.avgFpOccupancy, b.avgFpOccupancy);
     EXPECT_EQ(a.lifeAllocToWrite, b.lifeAllocToWrite);
@@ -63,6 +72,7 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.inlinedFrac, b.inlinedFrac);
     EXPECT_EQ(a.portStallsPerKInst, b.portStallsPerKInst);
     EXPECT_EQ(a.portInlineBypassFrac, b.portInlineBypassFrac);
+    EXPECT_EQ(a.archSig, b.archSig);
     EXPECT_EQ(a.report, b.report);
 }
 
@@ -162,8 +172,7 @@ TEST(SimulationRunner, CapturedErrorsNameTheRun)
     EXPECT_EQ(outcomes[2].error.find("run 2 (no-such-benchmark / "),
               0u);
 
-    const auto table = SimulationRunner::describeFailures(outcomes,
-                                                          batch);
+    const auto table = SimulationRunner::describeFailures(outcomes);
     EXPECT_NE(table.find("1 of 4 runs failed"), std::string::npos);
     EXPECT_NE(table.find("run 2"), std::string::npos);
 }
@@ -280,7 +289,9 @@ TEST(SimulationRunner, JournalServesCompletedPoints)
 }
 
 /** A journal whose writer died mid-line loads every complete entry
- *  and skips the torn tail, so only that point reruns. */
+ *  and skips the torn tail, so only that point reruns — and the
+ *  resumed run's first append starts a fresh line instead of
+ *  landing on the fragment. */
 TEST(SimulationRunner, JournalSkipsTornLines)
 {
     const std::string path =
@@ -305,11 +316,22 @@ TEST(SimulationRunner, JournalSkipsTornLines)
         std::fclose(f);
     }
 
-    SweepJournal reloaded(path);
-    EXPECT_EQ(reloaded.loadedPoints(), batch.size());
+    RunParams resumed = batch[0];
+    resumed.seed += 1;
     RunResult out;
-    EXPECT_TRUE(reloaded.lookup(paramsHash(batch[0]), out));
-    EXPECT_EQ(out.report, simulate(batch[0]).report);
+    {
+        SweepJournal reloaded(path);
+        EXPECT_EQ(reloaded.loadedPoints(), batch.size());
+        EXPECT_TRUE(reloaded.lookup(paramsHash(batch[0]), out));
+        EXPECT_EQ(out.report, simulate(batch[0]).report);
+        reloaded.record(paramsHash(resumed), out);
+    }
+
+    SweepJournal again(path);
+    EXPECT_EQ(again.loadedPoints(), batch.size() + 1);
+    RunResult back;
+    ASSERT_TRUE(again.lookup(paramsHash(resumed), back));
+    expectIdentical(back, out);
     std::remove(path.c_str());
 }
 
@@ -347,6 +369,87 @@ TEST(SimulationRunner, ParamsHashSeparatesResultsOnly)
         mutate(c);
         EXPECT_NE(paramsHash(a), paramsHash(c));
     }
+}
+
+// ---------------------------------------------------------------
+// Codec: the audited PRIJ3 serializer behind the sweep journal.
+// ---------------------------------------------------------------
+
+/** The PRIJ3 field list is load-bearing for every on-disk cache: a
+ *  RunResult change must land here, in the tag bump, and in the
+ *  format/parse pair together. If this test fails you changed one
+ *  without the others. */
+TEST(ResultCodec, PinsPrij3FieldList)
+{
+    ASSERT_EQ(codec::kResultFields, 25u);
+    const std::vector<std::string> want = {
+        "tag", "paramsHash", "benchmark", "scheme", "width",
+        "cycles", "insts", "committedTotal", "goldenChecked",
+        "ipc", "avgIntOccupancy", "avgFpOccupancy",
+        "lifeAllocToWrite", "lifeWriteToLastRead",
+        "lifeLastReadToRelease", "branchMispredictRate",
+        "dl1MissRate", "priEarlyFrees", "erEarlyFrees",
+        "inlinedFrac", "portStallsPerKInst", "portInlineBypassFrac",
+        "archSig", "report", "sentinel"};
+    ASSERT_EQ(want.size(), codec::kResultFields);
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(codec::kResultFieldNames[i], want[i])
+            << "PRIJ3 field " << i;
+    EXPECT_STREQ(codec::kResultTag, "PRIJ3");
+}
+
+/** paramsHash values are the key of every journal record: pinned
+ *  literals guard that a RunParams change never moves an existing
+ *  key unnoticed. */
+TEST(ResultCodec, ParamsHashValuesPinned)
+{
+    EXPECT_EQ(paramsHash(RunParams{}), 0xfa33f678bcaa17f5ULL);
+
+    RunParams ported;
+    ported.benchmark = "gcc";
+    ported.width = 8;
+    ported.scheme = Scheme::PriRefcountCkptcount;
+    ported.prfReadPorts = 2;
+    ported.cycleBudget = 2000000;
+    EXPECT_EQ(paramsHash(ported), 0x513f3a92cc2881acULL);
+
+    RunParams fault;
+    fault.benchmark = "mcf";
+    fault.scheme = Scheme::PriIdealLazy;
+    fault.faultSpec.site = faults::FaultSite::MapTable;
+    fault.faultSpec.mutation = faults::FaultMutation::StaleValue;
+    fault.faultSpec.trigger = faults::FaultTrigger::SeededDraw;
+    fault.faultSpec.triggerArg = 9000;
+    fault.faultSpec.seed = 0xdecafu;
+    EXPECT_EQ(paramsHash(fault), 0x84b511eb761aa6c8ULL);
+}
+
+/** A file written line by line with the raw codec loads through
+ *  SweepJournal with every PRIJ3 field bit-identical. */
+TEST(ResultCodec, JournalInterop)
+{
+    const auto batch = smallBatch();
+    const auto results = SimulationRunner(2).run(batch);
+    const std::string path =
+        testing::TempDir() + "pri_test_journal_interop";
+
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (size_t i = 0; i < batch.size(); ++i) {
+        const auto line = codec::formatResultLine(
+            paramsHash(batch[i]), results[i]);
+        std::fwrite(line.data(), 1, line.size(), f);
+    }
+    std::fclose(f);
+
+    SweepJournal journal(path);
+    EXPECT_EQ(journal.loadedPoints(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        RunResult r;
+        ASSERT_TRUE(journal.lookup(paramsHash(batch[i]), r));
+        expectIdentical(r, results[i]);
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace
