@@ -15,12 +15,22 @@
  * byte-identical to an uninterrupted run because journaled results
  * are bit-exact.
  *
+ * Storage: the file's bytes plus an index. Opening reads the whole
+ * file in one read into a buffer sized from the file, validates
+ * each line in place (codec::validateResultLine) and indexes its
+ * key to the line's byte span; the first valid line of a key wins.
+ * lookup() parses a line only when it is hit, so a warm rerun pays
+ * one report unescape per point it serves. record() appends the
+ * line it writes to the file to the buffer as well, so loaded and
+ * recorded points share one representation.
+ *
  * A line torn mid-write by the crash simply fails validation (field
- * count + trailing sentinel) and is skipped: that point reruns. If
- * the file ends in such a fragment, the first append of the resumed
- * run starts a fresh line, so the fragment cannot swallow it.
- * Appends take a mutex (workers finish out of order) and the file
- * is append-only, so two processes must not share one journal.
+ * count, tag, sentinel, number forms) and is skipped: that point
+ * reruns. If the file ends in such a fragment, the first append of
+ * the resumed run starts a fresh line, so the fragment cannot
+ * swallow it. Appends take a mutex (workers finish out of order)
+ * and the file is append-only, so two processes must not share one
+ * journal.
  *
  * Test hook: PRI_JOURNAL_KILL_AFTER=<k> SIGKILLs the process right
  * after the k-th append, giving CI a deterministic "sweep died
@@ -32,9 +42,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "sim/simulation.hh"
 
@@ -46,7 +56,7 @@ class SweepJournal
 {
   public:
     /**
-     * Open (creating if absent) the journal at @p path and load
+     * Open (creating if absent) the journal at @p path and index
      * every valid completed point. Empty path = disabled journal
      * (lookup always misses, record is a no-op).
      */
@@ -76,12 +86,24 @@ class SweepJournal
     }
 
   private:
+    /** A line's place in `bytes`, newline excluded. Offsets, not
+     *  pointers: record() may reallocate `bytes`, so nothing points
+     *  into it outside the mutex. */
+    struct Span
+    {
+        size_t offset;
+        size_t length;
+    };
+
     void load();
 
     std::string filePath;
     std::FILE *file = nullptr;
     mutable std::mutex mu;
-    std::map<uint64_t, RunResult> entries;
+    /** The file's contents: as read at open, then every append. */
+    std::string bytes;
+    /** Key -> span of its first valid line in `bytes`. */
+    std::unordered_map<uint64_t, Span> index;
     size_t loaded = 0;
     size_t appended = 0;
     /** The file ended in a torn fragment: terminate it before the

@@ -1,14 +1,49 @@
 #include "result_codec.hh"
 
+#include <array>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
+#include <iterator>
+#include <limits>
 
 namespace pri::sim::codec
 {
 
 namespace
 {
+
+/** The u64 fields, in line order (fields 5–8). */
+constexpr uint64_t RunResult::*kU64Fields[] = {
+    &RunResult::cycles, &RunResult::insts, &RunResult::committedTotal,
+    &RunResult::goldenChecked,
+};
+
+/** The hexfloat fields, in line order (fields 9–21). */
+constexpr double RunResult::*kF64Fields[] = {
+    &RunResult::ipc,
+    &RunResult::avgIntOccupancy,
+    &RunResult::avgFpOccupancy,
+    &RunResult::lifeAllocToWrite,
+    &RunResult::lifeWriteToLastRead,
+    &RunResult::lifeLastReadToRelease,
+    &RunResult::branchMispredictRate,
+    &RunResult::dl1MissRate,
+    &RunResult::priEarlyFrees,
+    &RunResult::erEarlyFrees,
+    &RunResult::inlinedFrac,
+    &RunResult::portStallsPerKInst,
+    &RunResult::portInlineBypassFrac,
+};
+
+constexpr size_t kFirstU64 = 5;
+constexpr size_t kFirstF64 = kFirstU64 + std::size(kU64Fields);
+constexpr size_t kArchSig = kFirstF64 + std::size(kF64Fields);
+constexpr size_t kReport = kArchSig + 1;
+static_assert(kReport + 2 == kResultFields,
+              "PRIJ3 number tables must match the field list");
+
+using Fields = std::array<std::string_view, kResultFields>;
 
 /** Escape tabs/newlines/backslashes so a report is one field. */
 std::string
@@ -27,63 +62,132 @@ escape(const std::string &s)
     return out;
 }
 
+/** Inverse of escape(), in one allocation: the runs between
+ *  backslashes are copied whole. */
 std::string
-unescape(const std::string &s)
+unescape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
-    for (size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 == s.size()) {
-            out += s[i];
-            continue;
+    while (true) {
+        const size_t bs = s.find('\\');
+        if (bs == std::string_view::npos || bs + 1 == s.size()) {
+            out += s;
+            return out;
         }
-        switch (s[++i]) {
+        out += s.substr(0, bs);
+        switch (s[bs + 1]) {
           case 'n': out += '\n'; break;
           case 't': out += '\t'; break;
-          default: out += s[i];
+          default: out += s[bs + 1];
         }
-    }
-    return out;
-}
-
-/** Split @p line on tabs (no unescaping; fields are raw). */
-std::vector<std::string>
-splitTabs(const std::string &line)
-{
-    // Tolerate one trailing newline so a line straight from
-    // formatResultLine() parses like a stripped journal line.
-    const size_t end = !line.empty() && line.back() == '\n'
-        ? line.size() - 1
-        : line.size();
-    std::vector<std::string> fields;
-    size_t start = 0;
-    while (true) {
-        const size_t tab = line.find('\t', start);
-        if (tab == std::string::npos || tab >= end) {
-            fields.push_back(line.substr(start, end - start));
-            return fields;
-        }
-        fields.push_back(line.substr(start, tab - start));
-        start = tab + 1;
+        s.remove_prefix(bs + 2);
     }
 }
 
+/** Split @p line on tabs into exactly kResultFields raw views (no
+ *  unescaping). Tolerates one trailing newline so a line straight
+ *  from formatResultLine() parses like a stripped journal line. */
 bool
-parseU64(const std::string &s, uint64_t &out, int base = 10)
+splitFields(std::string_view line, Fields &f)
 {
-    char *e = nullptr;
-    out = std::strtoull(s.c_str(), &e, base);
-    return e != s.c_str() && *e == '\0';
+    if (!line.empty() && line.back() == '\n')
+        line.remove_suffix(1);
+    for (size_t i = 0; i + 1 < kResultFields; ++i) {
+        const size_t tab = line.find('\t');
+        if (tab == std::string_view::npos)
+            return false;
+        f[i] = line.substr(0, tab);
+        line.remove_prefix(tab + 1);
+    }
+    // A 26th field leaves a tab in the last view, which then fails
+    // the sentinel check.
+    f[kResultFields - 1] = line;
+    return true;
 }
 
-// Doubles are written with %a (hexfloat), which strtod parses back
-// to the exact same bits — resumed reports stay identical.
+/** True when from_chars consumed all of @p s without error. */
 bool
-parseF64(const std::string &s, double &out)
+whole(std::string_view s, std::from_chars_result res)
 {
-    char *e = nullptr;
-    out = std::strtod(s.c_str(), &e);
-    return e != s.c_str() && *e == '\0';
+    return res.ec == std::errc() && res.ptr == s.data() + s.size();
+}
+
+/** A %llu field: digits only, no leading zero, in range. */
+bool
+parseU64(std::string_view s, uint64_t &out)
+{
+    if (s.size() > 1 && s[0] == '0')
+        return false;
+    return whole(s, std::from_chars(s.data(), s.data() + s.size(), out));
+}
+
+/** A %016llx field: exactly 16 lowercase hex digits. */
+bool
+parseHex64(std::string_view s, uint64_t &out)
+{
+    if (s.size() != 16)
+        return false;
+    for (const char c : s) {
+        if ((c < '0' || c > '9') && (c < 'a' || c > 'f'))
+            return false;
+    }
+    return whole(s,
+                 std::from_chars(s.data(), s.data() + s.size(), out, 16));
+}
+
+/**
+ * A %a field: [-]0x<hexfloat>, [-]inf or [-]nan. from_chars takes
+ * the hexfloat without its "0x" and would take a sign after it, so
+ * the sign and prefix are checked here. Hexfloats are exact, so the
+ * bits round-trip and resumed reports stay identical.
+ */
+bool
+parseF64(std::string_view s, double &out)
+{
+    const bool neg = !s.empty() && s[0] == '-';
+    if (neg)
+        s.remove_prefix(1);
+    if (s == "inf") {
+        out = std::numeric_limits<double>::infinity();
+    } else if (s == "nan") {
+        out = std::numeric_limits<double>::quiet_NaN();
+    } else {
+        if (s.size() < 3 || s[0] != '0' || s[1] != 'x' ||
+            !std::isxdigit(static_cast<unsigned char>(s[2]))) {
+            return false;
+        }
+        s.remove_prefix(2);
+        if (!whole(s, std::from_chars(s.data(), s.data() + s.size(), out,
+                                      std::chars_format::hex))) {
+            return false;
+        }
+    }
+    if (neg)
+        out = -out;
+    return true;
+}
+
+/** Every field but the strings and the report, validated. */
+bool
+parseNumbers(const Fields &f, uint64_t &key, RunResult &r)
+{
+    uint64_t width = 0;
+    if (f[0] != kResultTag || f[kResultFields - 1] != "." ||
+        !parseHex64(f[1], key) || !parseU64(f[4], width) ||
+        width > std::numeric_limits<unsigned>::max()) {
+        return false;
+    }
+    r.width = static_cast<unsigned>(width);
+    for (size_t i = 0; i < std::size(kU64Fields); ++i) {
+        if (!parseU64(f[kFirstU64 + i], r.*kU64Fields[i]))
+            return false;
+    }
+    for (size_t i = 0; i < std::size(kF64Fields); ++i) {
+        if (!parseF64(f[kFirstF64 + i], r.*kF64Fields[i]))
+            return false;
+    }
+    return parseHex64(f[kArchSig], r.archSig);
 }
 
 /** Tab-separated line builder with the shared number formats. */
@@ -145,65 +249,33 @@ formatResultLine(uint64_t key, const RunResult &r)
     b.add(r.benchmark);
     b.add(r.scheme);
     b.addU64(r.width);
-    b.addU64(r.cycles);
-    b.addU64(r.insts);
-    b.addU64(r.committedTotal);
-    b.addU64(r.goldenChecked);
-    b.addF64(r.ipc);
-    b.addF64(r.avgIntOccupancy);
-    b.addF64(r.avgFpOccupancy);
-    b.addF64(r.lifeAllocToWrite);
-    b.addF64(r.lifeWriteToLastRead);
-    b.addF64(r.lifeLastReadToRelease);
-    b.addF64(r.branchMispredictRate);
-    b.addF64(r.dl1MissRate);
-    b.addF64(r.priEarlyFrees);
-    b.addF64(r.erEarlyFrees);
-    b.addF64(r.inlinedFrac);
-    b.addF64(r.portStallsPerKInst);
-    b.addF64(r.portInlineBypassFrac);
+    for (const auto field : kU64Fields)
+        b.addU64(r.*field);
+    for (const auto field : kF64Fields)
+        b.addF64(r.*field);
     b.addHex64(r.archSig);
     b.add(escape(r.report));
     return b.finish();
 }
 
 bool
-parseResultLine(const std::string &line, uint64_t &key, RunResult &r)
+parseResultLine(std::string_view line, uint64_t &key, RunResult &r)
 {
-    const auto f = splitTabs(line);
-    if (f.size() != kResultFields || f[0] != kResultTag ||
-        f[kResultFields - 1] != ".") {
+    Fields f;
+    if (!splitFields(line, f) || !parseNumbers(f, key, r))
         return false;
-    }
-
-    if (!parseU64(f[1], key, 16))
-        return false;
-
     r.benchmark = f[2];
     r.scheme = f[3];
+    r.report = unescape(f[kReport]);
+    return true;
+}
 
-    uint64_t width = 0;
-    bool ok = parseU64(f[4], width);
-    r.width = static_cast<unsigned>(width);
-    ok = ok && parseU64(f[5], r.cycles) && parseU64(f[6], r.insts);
-    ok = ok && parseU64(f[7], r.committedTotal);
-    ok = ok && parseU64(f[8], r.goldenChecked);
-    ok = ok && parseF64(f[9], r.ipc);
-    ok = ok && parseF64(f[10], r.avgIntOccupancy);
-    ok = ok && parseF64(f[11], r.avgFpOccupancy);
-    ok = ok && parseF64(f[12], r.lifeAllocToWrite);
-    ok = ok && parseF64(f[13], r.lifeWriteToLastRead);
-    ok = ok && parseF64(f[14], r.lifeLastReadToRelease);
-    ok = ok && parseF64(f[15], r.branchMispredictRate);
-    ok = ok && parseF64(f[16], r.dl1MissRate);
-    ok = ok && parseF64(f[17], r.priEarlyFrees);
-    ok = ok && parseF64(f[18], r.erEarlyFrees);
-    ok = ok && parseF64(f[19], r.inlinedFrac);
-    ok = ok && parseF64(f[20], r.portStallsPerKInst);
-    ok = ok && parseF64(f[21], r.portInlineBypassFrac);
-    ok = ok && parseU64(f[22], r.archSig, 16);
-    r.report = unescape(f[23]);
-    return ok;
+bool
+validateResultLine(std::string_view line, uint64_t &key)
+{
+    Fields f;
+    RunResult scratch;
+    return splitFields(line, f) && parseNumbers(f, key, scratch);
 }
 
 } // namespace pri::sim::codec

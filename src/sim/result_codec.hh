@@ -12,6 +12,14 @@
  * bit-exactly; the stats report rides along with newlines/tabs
  * escaped.
  *
+ * The parser is strict: it splits a line into exactly 25 views and
+ * reads every number with std::from_chars, accepting only the digit
+ * forms formatResultLine() writes — decimal without sign or leading
+ * zero and in range (width must fit an unsigned), exactly 16
+ * lowercase hex digits for the key and archSig, and %a hexfloats
+ * or [-]inf/[-]nan with nothing after them. A corrupted line is a
+ * miss that reruns, never a wrong cache hit.
+ *
  * Changing the field list requires bumping the tag, which is the
  * version stamp that makes old journals miss cleanly, and updating
  * the pinned list below (tests/test_runner.cpp asserts it).
@@ -22,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sim/simulation.hh"
 
@@ -58,12 +67,21 @@ static_assert(sizeof(kResultFieldNames) / sizeof(const char *) ==
 std::string formatResultLine(uint64_t key, const RunResult &r);
 
 /**
- * Parse one PRIJ3 line. Returns false (leaving @p key / @p r
- * untouched garbage) for anything malformed — most importantly the
- * torn final line of a file whose writer was SIGKILLed mid-write.
+ * Parse one PRIJ3 line (one trailing newline is tolerated). Returns
+ * false (leaving @p key / @p r untouched garbage) for anything
+ * malformed — most importantly the torn final line of a file whose
+ * writer was SIGKILLed mid-write.
  */
-bool parseResultLine(const std::string &line, uint64_t &key,
+bool parseResultLine(std::string_view line, uint64_t &key,
                      RunResult &r);
+
+/**
+ * Validate @p line exactly as parseResultLine() does and return its
+ * key, without building the RunResult (the report is not
+ * unescaped). The journal indexes lines with this when it opens and
+ * parses a line in full only when it is looked up.
+ */
+bool validateResultLine(std::string_view line, uint64_t &key);
 
 } // namespace pri::sim::codec
 

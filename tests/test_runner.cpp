@@ -5,17 +5,25 @@
  * worker count, in submission order, across repeated invocations;
  * exceptions from workers must propagate or be captured per-run.
  *
- * Also the result cache: the sweep journal serves completed points
- * and survives torn writes, and the PRIJ3 codec's field list and
- * literal paramsHash() values are pinned, because every existing
- * journal and the bench/perf digests depend on them.
+ * Also the result cache: the sweep journal serves completed points,
+ * survives torn writes and concurrent lookups beside appends, and
+ * the PRIJ3 codec's field list and literal paramsHash() values are
+ * pinned, because every existing journal and the bench/perf digests
+ * depend on them. The codec must round-trip every double bit-exactly
+ * and reject any line it could not have written.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/core.hh"
@@ -74,6 +82,20 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.portInlineBypassFrac, b.portInlineBypassFrac);
     EXPECT_EQ(a.archSig, b.archSig);
     EXPECT_EQ(a.report, b.report);
+}
+
+/** Newline-terminated lines in the file at @p path. */
+size_t
+countLines(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r");
+    if (f == nullptr)
+        return 0;
+    size_t lines = 0;
+    for (int c; (c = std::fgetc(f)) != EOF;)
+        lines += c == '\n' ? 1 : 0;
+    std::fclose(f);
+    return lines;
 }
 
 TEST(SimulationRunner, DefaultJobsIsAtLeastOne)
@@ -335,6 +357,104 @@ TEST(SimulationRunner, JournalSkipsTornLines)
     std::remove(path.c_str());
 }
 
+/** Hits and fresh runs in one batch: worker threads look points up
+ *  while their siblings append, and a reader thread keeps looking
+ *  every point up meanwhile, so appends that grow the store race
+ *  real lookups. Every result matches a direct simulate(), and a
+ *  reload then holds each point exactly once. */
+TEST(SimulationRunner, JournalMixedHitsAndRecords)
+{
+    const std::string path =
+        testing::TempDir() + "pri_test_journal_mixed";
+    std::remove(path.c_str());
+    const auto batch = smallBatch();
+    std::vector<RunResult> reference;
+    for (const auto &p : batch)
+        reference.push_back(simulate(p));
+
+    {
+        SweepJournal journal(path);
+        for (size_t i = 0; i < batch.size(); i += 2)
+            journal.record(paramsHash(batch[i]), reference[i]);
+    }
+
+    {
+        SweepJournal journal(path);
+        EXPECT_EQ(journal.loadedPoints(), (batch.size() + 1) / 2);
+        SimulationRunner runner(4);
+        runner.setBatchLanes(1);
+        runner.setJournal(&journal);
+        std::atomic<bool> done{false};
+        std::thread reader([&] {
+            while (!done.load()) {
+                for (size_t i = 0; i < batch.size(); ++i) {
+                    RunResult r;
+                    if (journal.lookup(paramsHash(batch[i]), r)) {
+                        EXPECT_EQ(r.report, reference[i].report) << i;
+                    }
+                }
+            }
+        });
+        const auto outcomes = runner.runCaptured(batch);
+        done = true;
+        reader.join();
+        ASSERT_EQ(outcomes.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+            ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+            EXPECT_EQ(outcomes[i].fromJournal, i % 2 == 0) << i;
+            expectIdentical(outcomes[i].result, reference[i]);
+        }
+        EXPECT_EQ(journal.appendedPoints(), batch.size() / 2);
+        // Recorded points are served from the same store as loaded
+        // ones.
+        for (size_t i = 0; i < batch.size(); ++i) {
+            RunResult r;
+            ASSERT_TRUE(journal.lookup(paramsHash(batch[i]), r)) << i;
+            expectIdentical(r, reference[i]);
+        }
+    }
+
+    SweepJournal reloaded(path);
+    EXPECT_EQ(reloaded.loadedPoints(), batch.size());
+    EXPECT_EQ(countLines(path), batch.size());
+    std::remove(path.c_str());
+}
+
+/** A key journaled twice (two writers that should not have shared
+ *  the file) is served from its first line and counted once. */
+TEST(SimulationRunner, JournalFirstLineWins)
+{
+    const std::string path =
+        testing::TempDir() + "pri_test_journal_duplicate";
+    const auto batch = smallBatch();
+    RunResult first = simulate(batch[0]);
+    RunResult second = first;
+    second.ipc += 1.0;
+    second.report = "the later line";
+
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    const uint64_t key = paramsHash(batch[0]);
+    for (const RunResult *r : {&first, &second}) {
+        const auto line = codec::formatResultLine(key, *r);
+        std::fwrite(line.data(), 1, line.size(), f);
+    }
+    std::fclose(f);
+
+    {
+        SweepJournal journal(path);
+        EXPECT_EQ(journal.loadedPoints(), 1u);
+        RunResult r;
+        ASSERT_TRUE(journal.lookup(key, r));
+        expectIdentical(r, first);
+        // Recording the key again appends nothing.
+        journal.record(key, second);
+        EXPECT_EQ(journal.appendedPoints(), 0u);
+    }
+    EXPECT_EQ(countLines(path), 2u);
+    std::remove(path.c_str());
+}
+
 /** The journal key ignores attempt/watchdog/timeout knobs and the
  *  observation-only settings (invariant checks, audit cadence, the
  *  transient-failure seam) but distinguishes everything that
@@ -422,6 +542,165 @@ TEST(ResultCodec, ParamsHashValuesPinned)
     fault.faultSpec.triggerArg = 9000;
     fault.faultSpec.seed = 0xdecafu;
     EXPECT_EQ(paramsHash(fault), 0x84b511eb761aa6c8ULL);
+}
+
+/** The hexfloat fields of a RunResult, in PRIJ3 order. */
+const std::vector<double RunResult::*> &
+doubleFields()
+{
+    static const std::vector<double RunResult::*> fields = {
+        &RunResult::ipc,
+        &RunResult::avgIntOccupancy,
+        &RunResult::avgFpOccupancy,
+        &RunResult::lifeAllocToWrite,
+        &RunResult::lifeWriteToLastRead,
+        &RunResult::lifeLastReadToRelease,
+        &RunResult::branchMispredictRate,
+        &RunResult::dl1MissRate,
+        &RunResult::priEarlyFrees,
+        &RunResult::erEarlyFrees,
+        &RunResult::inlinedFrac,
+        &RunResult::portStallsPerKInst,
+        &RunResult::portInlineBypassFrac,
+    };
+    return fields;
+}
+
+/** Every double class survives format -> parse with its bits: signed
+ *  zero, subnormals, the extremes, infinities and an inexact
+ *  fraction. %a keeps no NaN payload, so a NaN must come back a NaN
+ *  that formats to the same line. */
+TEST(ResultCodec, DoublesRoundTripBitExact)
+{
+    using limits = std::numeric_limits<double>;
+    const double values[] = {
+        -0.0,          limits::denorm_min(), DBL_MIN,
+        DBL_MAX,       limits::infinity(),   -limits::infinity(),
+        1.0 / 3.0,     limits::quiet_NaN(),  -limits::quiet_NaN(),
+    };
+    ASSERT_EQ(doubleFields().size(), 13u);
+    RunResult r;
+    r.benchmark = "gzip";
+    r.scheme = "Base";
+    for (const double v : values) {
+        for (const auto field : doubleFields())
+            r.*field = v;
+        const std::string line = codec::formatResultLine(42, r);
+        uint64_t key = 0;
+        RunResult back;
+        ASSERT_TRUE(codec::parseResultLine(line, key, back)) << line;
+        EXPECT_EQ(key, 42u);
+        for (const auto field : doubleFields()) {
+            if (std::isnan(v)) {
+                EXPECT_TRUE(std::isnan(back.*field)) << line;
+            } else {
+                EXPECT_EQ(std::bit_cast<uint64_t>(back.*field),
+                          std::bit_cast<uint64_t>(v))
+                    << line;
+            }
+        }
+        EXPECT_EQ(codec::formatResultLine(key, back), line);
+    }
+}
+
+/** Tab-split @p line (its newline dropped) into raw fields. */
+std::vector<std::string>
+splitLine(const std::string &line)
+{
+    std::vector<std::string> fields;
+    size_t start = 0;
+    const size_t end = line.size() - 1;
+    while (true) {
+        const size_t tab = line.find('\t', start);
+        if (tab == std::string::npos || tab > end) {
+            fields.push_back(line.substr(start, end - start));
+            return fields;
+        }
+        fields.push_back(line.substr(start, tab - start));
+        start = tab + 1;
+    }
+}
+
+/** splitLine's inverse: tab-join @p fields and end the line. */
+std::string
+joinLine(const std::vector<std::string> &fields)
+{
+    std::string line = fields.front();
+    for (size_t i = 1; i < fields.size(); ++i)
+        line += '\t' + fields[i];
+    return line + '\n';
+}
+
+/** A corrupted line must be a miss, never a wrong hit: the parser
+ *  accepts only the digit forms formatResultLine writes, and the
+ *  journal skips every such line when it opens. */
+TEST(ResultCodec, RejectsMalformedLines)
+{
+    RunResult r;
+    r.benchmark = "gzip";
+    r.scheme = "Base";
+    r.width = 4;
+    r.cycles = 12345;
+    r.insts = 8000;
+    r.ipc = 0.65;
+    r.report = "a\tb\nc\\d";
+    const uint64_t key = 0x0123456789abcdefULL;
+    const std::string good = codec::formatResultLine(key, r);
+    uint64_t k = 0;
+    RunResult out;
+    ASSERT_TRUE(codec::parseResultLine(good, k, out));
+    EXPECT_EQ(k, key);
+    expectIdentical(out, r);
+
+    const auto fields = splitLine(good);
+    ASSERT_EQ(fields.size(), codec::kResultFields);
+    ASSERT_EQ(joinLine(fields), good);
+    const auto with = [&](size_t i, const std::string &v) {
+        auto f = fields;
+        f[i] = v;
+        return joinLine(f);
+    };
+    auto short24 = fields;
+    short24.erase(short24.begin() + 9);
+    auto long26 = fields;
+    long26.insert(long26.begin() + 9, fields[9]);
+
+    const std::vector<std::pair<const char *, std::string>> bad = {
+        {"negative width", with(4, "-4")},
+        {"width over 32 bits", with(4, "4294967300")},
+        {"plus sign", with(4, "+4")},
+        {"leading space", with(4, " 4")},
+        {"leading zero", with(4, "04")},
+        {"negative key", with(1, "-1")},
+        {"0x-prefixed key", with(1, "0x" + fields[1])},
+        {"uppercase key", with(1, "0123456789ABCDEF")},
+        {"overflowing cycles", with(5, "18446744073709551616")},
+        {"decimal double", with(9, "0.65")},
+        {"plus-signed double", with(9, "+" + fields[9])},
+        {"sign after 0x", with(9, "0x-1p+0")},
+        {"junk after a double", with(9, fields[9] + "junk")},
+        {"wrong tag", with(0, "PRIJ2")},
+        {"missing sentinel", with(24, "")},
+        {"24 fields", joinLine(short24)},
+        {"26 fields", joinLine(long26)},
+    };
+    for (const auto &[what, line] : bad)
+        EXPECT_FALSE(codec::parseResultLine(line, k, out)) << what;
+
+    // The journal validates at open with the same rules.
+    const std::string path =
+        testing::TempDir() + "pri_test_journal_malformed";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (const auto &[what, line] : bad)
+        std::fwrite(line.data(), 1, line.size(), f);
+    std::fclose(f);
+    {
+        SweepJournal journal(path);
+        EXPECT_EQ(journal.loadedPoints(), 0u);
+        EXPECT_FALSE(journal.lookup(key, out));
+    }
+    std::remove(path.c_str());
 }
 
 /** A file written line by line with the raw codec loads through
