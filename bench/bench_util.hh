@@ -80,11 +80,6 @@ struct Options
 {
     Budget budget;
     unsigned jobs = 0;     ///< worker threads; 0 = hardware_concurrency
-    /** --batch K: sweep points simulated as lanes of one shared-
-     *  workload batch per worker (sim/batch/sweep_batch.hh). 0 =
-     *  auto (defaultBatchLanes); 1 = serial path. Byte-identical
-     *  results either way. */
-    unsigned batchLanes = 0;
     std::string jsonPath;  ///< --json FILE: machine-readable results
     std::string journalPath; ///< --journal FILE: resumable sweeps
     uint64_t timeoutMs = 0;  ///< --timeout-ms N: per-run wall budget
@@ -103,7 +98,6 @@ struct Resilience
 {
     sim::RetryPolicy retry;
     uint64_t timeoutMs = 0;
-    unsigned batchLanes = 0; ///< 0 = auto
     std::unique_ptr<sim::SweepJournal> journal;
 };
 
@@ -116,7 +110,7 @@ resilience()
 
 } // namespace detail
 
-/** Parse --quick / --full / --jobs N / --batch K / --json FILE /
+/** Parse --quick / --full / --jobs N / --json FILE /
  *  --journal FILE / --timeout-ms N / --retries N / --backoff-ms N
  *  from argv. Also installs the fatal-signal handlers so a crashed
  *  harness leaves a flight-recorder dump naming the run it died
@@ -130,10 +124,6 @@ parseOptions(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
             o.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--batch") == 0 &&
-                   i + 1 < argc) {
-            o.batchLanes =
-                static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--json") == 0 &&
                    i + 1 < argc) {
             o.jsonPath = argv[++i];
@@ -155,7 +145,6 @@ parseOptions(int argc, char **argv)
     auto &rz = detail::resilience();
     rz.retry = sim::RetryPolicy{o.retries + 1, o.backoffMs};
     rz.timeoutMs = o.timeoutMs;
-    rz.batchLanes = o.batchLanes;
     if (!o.journalPath.empty() && rz.journal == nullptr) {
         rz.journal =
             std::make_unique<sim::SweepJournal>(o.journalPath);
@@ -232,7 +221,6 @@ inline sim::SimulationRunner
 makeRunner(unsigned jobs)
 {
     sim::SimulationRunner runner(jobs);
-    runner.setBatchLanes(resilience().batchLanes);
     runner.setRetryPolicy(resilience().retry);
     runner.setJournal(resilience().journal.get());
     return runner;
@@ -374,7 +362,7 @@ struct SweepGrid
 
 /**
  * The shared sweep-driver body: print the banner, prefetch the full
- * grid through the thread pool (batched when --batch allows), call
+ * grid through the thread pool, call
  * @p emit_width once per grid width — in declaration order, with
  * every point already cached so the printing code never simulates —
  * then write the JSON sink. Returns the harness exit status (0).

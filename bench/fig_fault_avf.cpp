@@ -17,7 +17,7 @@
  * Everything is deterministic: injection specs are pure functions
  * of the campaign seed, and classification consumes only bit-exact
  * run artifacts, so the table and BENCH_faults.json are
- * byte-identical across --jobs, --batch and --journal resume.
+ * byte-identical across --jobs and --journal resume.
  *
  * Extra options on top of the common set:
  *   --injections N   strikes per (scheme, site) cell (default 16;
@@ -141,7 +141,6 @@ main(int argc, char **argv)
 
     faults::CampaignExec exec;
     exec.jobs = opts.jobs;
-    exec.batchLanes = opts.batchLanes;
     exec.retry = sim::RetryPolicy{opts.retries + 1, opts.backoffMs};
     // parseOptions() already opened --journal; one writer per file.
     exec.journal = bench::detail::resilience().journal.get();

@@ -19,7 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/stats.hh"
 #include "common/undo_journal.hh"
 
@@ -108,9 +107,9 @@ class CombinedPredictor
     unsigned bimodalIndex(uint64_t pc) const;
     unsigned gshareIndex(uint64_t pc, uint64_t hist) const;
 
-    HotVec<uint8_t> bimodal;
-    HotVec<uint8_t> gshare;
-    HotVec<uint8_t> selector; ///< >=2 selects gshare
+    std::vector<uint8_t> bimodal;
+    std::vector<uint8_t> gshare;
+    std::vector<uint8_t> selector; ///< >=2 selects gshare
     uint64_t ghist = 0;
 };
 
@@ -138,7 +137,7 @@ class Btb
         bool valid = false;
     };
 
-    HotVec<Entry> entries;
+    std::vector<Entry> entries;
     uint64_t stamp = 0;
 };
 

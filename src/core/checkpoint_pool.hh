@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "branch/predictor.hh"
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "workload/walker.hh"
 
@@ -138,7 +137,7 @@ class CheckpointPool
     }
 
   private:
-    HotVec<CheckpointSlot> slots;
+    std::vector<CheckpointSlot> slots;
     uint32_t head = 0;      ///< oldest slot still in the window
     uint32_t tail = 0;      ///< next slot to allocate
     uint32_t used = 0;      ///< window size (incl. dead interior)

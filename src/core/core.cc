@@ -43,13 +43,12 @@ OutOfOrderCore::OutOfOrderCore(
     const CoreConfig &config,
     const workload::SyntheticProgram &program, StatGroup &stats,
     std::shared_ptr<const workload::trace::ProgramTraces>
-        shared_traces,
-    const workload::ReplayTape *tape)
+        shared_traces)
     : cfg(config), sg(stats), st(stats), prog(program),
       traces(shared_traces ? std::move(shared_traces)
                            : workload::trace::TraceCache::global()
                                  .acquire(program)),
-      walker(program, traces.get(), tape),
+      walker(program, traces.get()),
       rn(config.rename, stats),
       mem(config.mem),
       lsq(config.lsqSize), robHot(config.robSize),
@@ -65,7 +64,7 @@ OutOfOrderCore::OutOfOrderCore(
         // up front; NthAccess counts site accesses instead. Either
         // way the strike lands at the top of one specific cycle —
         // a single sequencing point, so the faulted run is byte-
-        // identical across jobs/batch/journal paths.
+        // identical across jobs/journal paths.
         const auto &fs = cfg.faultSpec;
         if (fs.trigger == faults::FaultTrigger::AtCycle) {
             faultFireCycle_ = fs.triggerArg;
@@ -983,7 +982,7 @@ void
 OutOfOrderCore::squashAfter(uint32_t branch_idx)
 {
     const uint32_t stop = (branch_idx + 1) % cfg.robSize;
-    HotVec<Freed> &to_free = freedScratch;
+    std::vector<Freed> &to_free = freedScratch;
     to_free.clear();
 
     const uint32_t count_before = robCount;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "branch/predictor.hh"
-#include "common/arena.hh"
 #include "common/flight_recorder.hh"
 #include "common/stats.hh"
 #include "common/undo_journal.hh"
@@ -37,11 +36,6 @@
 #include "memory/cache.hh"
 #include "rename/rename_unit.hh"
 #include "workload/walker.hh"
-
-namespace pri::workload
-{
-class ReplayTape;
-} // namespace pri::workload
 
 namespace pri::core
 {
@@ -266,17 +260,15 @@ class OutOfOrderCore
   public:
     /**
      * @p shared_traces, when non-null, supplies the compiled
-     * micro-traces directly (batched lanes of one SweepBatch share a
-     * single acquisition) instead of acquiring them from the global
-     * TraceCache. @p tape, when non-null, is a shared committed-path
-     * ReplayTape handed to the walker (see ReplayTape).
+     * micro-traces of @p program directly (SimInstance passes the
+     * ones TraceCache::workload() returned) instead of acquiring
+     * them from the global TraceCache.
      */
     OutOfOrderCore(
         const CoreConfig &config,
         const workload::SyntheticProgram &program, StatGroup &stats,
         std::shared_ptr<const workload::trace::ProgramTraces>
-            shared_traces = nullptr,
-        const workload::ReplayTape *tape = nullptr);
+            shared_traces = nullptr);
 
     /**
      * Simulate until @p commit_target instructions commit (or
@@ -436,7 +428,7 @@ class OutOfOrderCore
      * the pending flag once the configured ordinal is reached. The
      * strike itself is deferred to the top of the next cycle so
      * firing is a single sequencing point regardless of which stage
-     * counted the access (byte-identical across batch/jobs paths).
+     * counted the access (byte-identical across jobs/journal paths).
      */
     void noteFaultAccess(faults::FaultSite site);
     /** Apply the configured mutation at the configured site, once.
@@ -487,16 +479,13 @@ class OutOfOrderCore
     Lsq lsq;
 
     // ROB (circular, struct-of-arrays: hot scheduling state dense,
-    // cold retire/bookkeeping state aside). All the per-cycle hot
-    // containers below are HotVec: heap-backed when built normally,
-    // packed into the ambient LaneArena when the core is constructed
-    // under an ArenaScope (batched sweeps; DESIGN.md §14).
-    HotVec<RobHot> robHot;
-    HotVec<RobCold> robCold;
+    // cold retire/bookkeeping state aside).
+    std::vector<RobHot> robHot;
+    std::vector<RobCold> robCold;
     /** One bit per ROB slot: valid && !retired. Lets the retire
      *  stage's "all older retired?" privilege check scan words
      *  instead of walking entries. */
-    HotVec<uint64_t> unretiredBits;
+    std::vector<uint64_t> unretiredBits;
     uint32_t robHead = 0;
     uint32_t robTail = 0;
     uint32_t robCount = 0;
@@ -516,13 +505,13 @@ class OutOfOrderCore
     // linked exactly while its SrcRead is a live pointer read
     // (valid && !imm && refHeld), i.e. exactly the payload-RAM
     // entries an ideal-PRI inline must rewrite.
-    std::array<HotVec<int32_t>, 2> consHead_;
+    std::array<std::vector<int32_t>, 2> consHead_;
     struct ConsLinks
     {
         int32_t next = -1;
         int32_t prev = -1;
     };
-    HotVec<ConsLinks> cons_; ///< one pair per source node
+    std::vector<ConsLinks> cons_; ///< one pair per source node
 
     // Ready set: one bit per ROB slot; a *superset* of the ready
     // entries (lazy: entries whose predicted readiness regressed
@@ -530,7 +519,7 @@ class OutOfOrderCore
     // recheck). Age order is free — iterating the ring from robHead
     // visits slots in rename (seq) order — so insert/remove are
     // single bit flips instead of sorted-list surgery.
-    HotVec<uint64_t> readyBits_;
+    std::vector<uint64_t> readyBits_;
     unsigned readyCount_ = 0;
 
     // Timed wakeups: at most one pending per ROB slot, so select's
@@ -565,7 +554,7 @@ class OutOfOrderCore
         branch::PredictToken bpTok;
         CkptRef ckptRef; ///< pooled front-end recovery state
     };
-    HotVec<FetchedInst> fetchBuf;
+    std::vector<FetchedInst> fetchBuf;
     uint32_t fetchHead = 0;
     uint32_t fetchCount = 0;
     uint64_t fetchResumeCycle = 0;
@@ -583,8 +572,8 @@ class OutOfOrderCore
     UndoJournal<ArchUndo> archJournal;
 
     // Per-physical-register availability (timing scoreboard).
-    std::array<HotVec<uint64_t>, 2> specAvail_;
-    std::array<HotVec<uint64_t>, 2> actualAvail_;
+    std::array<std::vector<uint64_t>, 2> specAvail_;
+    std::array<std::vector<uint64_t>, 2> actualAvail_;
 
     // Speculative architectural values, for dataflow checking.
     std::array<uint64_t, 2 * isa::kNumLogicalRegs> specArch{};
@@ -607,7 +596,7 @@ class OutOfOrderCore
 
     // Squash scratch, hoisted out of the cycle loop so steady state
     // allocates nothing: it keeps the capacity it has grown.
-    HotVec<Freed> freedScratch;
+    std::vector<Freed> freedScratch;
 
     CommitObserver *observer = nullptr;
 

@@ -19,18 +19,14 @@
  * before same-cycle execution starts). Within a list, nodes pop in
  * the order they were pushed. unlink() is O(1): squash removes a dead
  * slot's pending entry eagerly, so nothing stale is ever drained.
- *
- * Storage is HotVec, so a core built under an ArenaScope packs the
- * wheel into its lane arena with the rest of its state (DESIGN.md
- * §14).
  */
 
 #ifndef PRI_CORE_EVENT_WHEEL_HH
 #define PRI_CORE_EVENT_WHEEL_HH
 
 #include <cstdint>
+#include <vector>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
 
 namespace pri::core
@@ -151,9 +147,9 @@ class SlotWheel
     }
 
     unsigned lists_;
-    HotVec<int32_t> head_;
-    HotVec<int32_t> tail_;
-    HotVec<Node> node_;
+    std::vector<int32_t> head_;
+    std::vector<int32_t> tail_;
+    std::vector<Node> node_;
 };
 
 } // namespace pri::core

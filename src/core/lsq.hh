@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/hashing.hh"
 #include "common/logging.hh"
 #include "faults/fault_spec.hh"
@@ -292,10 +291,10 @@ class Lsq
         e.wordPrev = kNil;
     }
 
-    HotVec<Entry> entries;
-    HotVec<WordNode> nodes;     ///< fixed pool, one per slot
-    HotVec<int32_t> freeNodes;  ///< unused pool indices
-    HotVec<int32_t> buckets;    ///< hash heads (pow2 size)
+    std::vector<Entry> entries;
+    std::vector<WordNode> nodes;     ///< fixed pool, one per slot
+    std::vector<int32_t> freeNodes;  ///< unused pool indices
+    std::vector<int32_t> buckets;    ///< hash heads (pow2 size)
     unsigned head = 0;
     unsigned tail = 0;
     unsigned count = 0;

@@ -5,12 +5,12 @@
  * A campaign is N seeded injections per (config point × fault
  * site): each injection is an ordinary RunParams with a FaultSpec
  * attached, executed through whatever path the harness already uses
- * (SimulationRunner, batch lanes, journal) — the campaign layer
+ * (SimulationRunner, journal) — the campaign layer
  * only *plans* the specs and *classifies* the per-point Outcomes
  * afterwards. Determinism therefore comes for free: the spec is
  * audited by paramsHash and every trigger is counter-based, so a
- * campaign table is byte-identical across --jobs, --batch, journal
- * resume and warm journal reruns (DESIGN.md §17).
+ * campaign table is byte-identical across --jobs, journal resume
+ * and warm journal reruns (DESIGN.md §17).
  */
 
 #ifndef PRI_FAULTS_CAMPAIGN_HH

@@ -17,8 +17,7 @@
  * (submission-order scatter), and classification consumes only
  * bit-exact fields (report, archSig, stalled flag, the golden
  * divergence marker). Tables built from a CampaignTable are
- * therefore byte-identical across --jobs, --batch and journal
- * resume.
+ * therefore byte-identical across --jobs and journal resume.
  *
  * Header-only by design: pri_faults itself stays below pri_sim in
  * the link order (core structures include fault_spec.hh), while
@@ -74,7 +73,6 @@ struct CampaignSpec
 struct CampaignExec
 {
     unsigned jobs = 0;       ///< 0 = hardware_concurrency
-    unsigned batchLanes = 0; ///< 0 = auto
     sim::RetryPolicy retry{1, 0};
     sim::SweepJournal *journal = nullptr; ///< optional
 };
@@ -128,7 +126,6 @@ runCampaignBatch(const std::vector<sim::RunParams> &batch,
                  const CampaignExec &exec)
 {
     sim::SimulationRunner runner(exec.jobs);
-    runner.setBatchLanes(exec.batchLanes);
     runner.setRetryPolicy(exec.retry);
     runner.setJournal(exec.journal);
     return runner.runCaptured(batch);
@@ -171,7 +168,7 @@ runCampaign(const CampaignSpec &spec, const CampaignExec &exec)
         refs.push_back(base_params(s));
     table.refs = runCampaignBatch(refs, exec);
 
-    // Injections, scheme-major for cache-friendly batching.
+    // Injections, scheme-major.
     std::vector<sim::RunParams> inj;
     inj.reserve(spec.schemes.size() * spec.sites.size() *
                 spec.injections);

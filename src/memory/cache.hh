@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/stats.hh"
 
 namespace pri::memory
@@ -71,7 +70,7 @@ class Cache
 
     CacheParams prm;
     unsigned numSets;
-    HotVec<Line> lines; // numSets * assoc, set-major
+    std::vector<Line> lines; // numSets * assoc, set-major
     uint64_t stamp = 0;
     uint64_t nHits = 0;
     uint64_t nMisses = 0;

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.hh"
 #include "isa/reg.hh"
 
 namespace pri::rename
@@ -63,10 +62,7 @@ class FreeList
 
   private:
     unsigned total;
-    /** Arena-backed when constructed under an ArenaScope: the free
-     *  stack head is among the hottest rename-stage lines, so lanes
-     *  of a SweepBatch keep theirs in their own arena slab. */
-    HotVec<isa::PhysRegId> freeStack;
+    std::vector<isa::PhysRegId> freeStack;
     std::vector<bool> allocated;
     unsigned allocatedCount = 0;
     uint64_t nDuplicate = 0;

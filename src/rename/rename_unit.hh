@@ -37,7 +37,6 @@
 #include <map>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/stats.hh"
 #include "faults/fault_spec.hh"
 #include "isa/reg.hh"
@@ -369,7 +368,7 @@ class RenameUnit
     {
         RamMapTable map;
         FreeList freeList;
-        HotVec<PregInfo> pregs; ///< arena-backed under an ArenaScope
+        std::vector<PregInfo> pregs;
         unsigned storageUsed = 0; ///< VP: written live values
 
         ClassState(unsigned num_phys, unsigned num_arch)

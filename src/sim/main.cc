@@ -7,7 +7,7 @@
  *   pri_sim [-b benchmark] [-w width] [-s scheme] [-p pregs]
  *           [-n measureInsts] [-u warmupInsts] [-S seed] [-v]
  *           [--read-ports N] [--check-golden]
- *           [--sweep N] [--jobs N] [--batch K] [--journal PATH]
+ *           [--sweep N] [--jobs N] [--journal PATH]
  *           [--timeout-ms N] [--cycle-budget N]
  *           [--watchdog-cycles N] [--no-watchdog]
  *           [--retries N] [--backoff-ms N]
@@ -30,9 +30,10 @@
  * (one soft-error strike; see src/faults/fault_arg.hh for the
  * grammar).
  *
- * `--batch K` simulates up to K compatible sweep points per worker
- * thread as lanes of one shared-workload batch (default: auto);
- * results are byte-identical to `--batch 1`.
+ * A single run's IPC, occupancy, mispredict, inlined and port lines
+ * cover the measurement window only; the lines marked "whole run"
+ * (register lifetimes, DL1 miss rate) and the `-v` stats report also
+ * count the warm-up.
  */
 
 #include <cstdio>
@@ -108,11 +109,11 @@ printResult(const pri::sim::RunResult &r, unsigned pregs,
                 static_cast<unsigned long long>(r.cycles));
     std::printf("occupancy INT %.1f  FP %.1f\n", r.avgIntOccupancy,
                 r.avgFpOccupancy);
-    std::printf("lifetime  alloc->write %.1f  write->lastread %.1f  "
-                "lastread->release %.1f\n",
+    std::printf("lifetime (whole run)  alloc->write %.1f  "
+                "write->lastread %.1f  lastread->release %.1f\n",
                 r.lifeAllocToWrite, r.lifeWriteToLastRead,
                 r.lifeLastReadToRelease);
-    std::printf("mispredict/branch %.4f  dl1 miss %.4f  "
+    std::printf("mispredict/branch %.4f  dl1 miss (whole run) %.4f  "
                 "inlined %.3f\n",
                 r.branchMispredictRate, r.dl1MissRate,
                 r.inlinedFrac);
@@ -128,7 +129,7 @@ printResult(const pri::sim::RunResult &r, unsigned pregs,
                         r.goldenChecked));
     }
     if (verbose)
-        std::printf("\n%s", r.report.c_str());
+        std::printf("\nwhole-run stats:\n%s", r.report.c_str());
 }
 
 } // namespace
@@ -142,7 +143,6 @@ main(int argc, char **argv)
     bool verbose = false;
     size_t sweep = 0;
     unsigned jobs = 1;
-    unsigned batch_lanes = 0; // 0 = auto (defaultBatchLanes)
     unsigned retries = 0;
     unsigned backoff_ms = 0;
     std::string journal_path;
@@ -182,9 +182,6 @@ main(int argc, char **argv)
             sweep = static_cast<size_t>(std::atoll(next()));
         } else if (a == "--jobs") {
             jobs = static_cast<unsigned>(std::atoi(next()));
-        } else if (a == "--batch") {
-            batch_lanes =
-                static_cast<unsigned>(std::atoi(next()));
         } else if (a == "--journal") {
             journal_path = next();
         } else if (a == "--timeout-ms") {
@@ -216,7 +213,6 @@ main(int argc, char **argv)
                          "[-u warmup] [-S seed] [-v] [-l] "
                          "[--read-ports N] "
                          "[--check-golden] [--sweep N] [--jobs N] "
-                         "[--batch K] "
                          "[--journal PATH] [--timeout-ms N] "
                          "[--cycle-budget N] "
                          "[--watchdog-cycles N] [--no-watchdog] "
@@ -267,7 +263,6 @@ main(int argc, char **argv)
     }
 
     pri::sim::SimulationRunner runner(jobs);
-    runner.setBatchLanes(batch_lanes);
     runner.setRetryPolicy({retries + 1, backoff_ms});
     if (journal.enabled())
         runner.setJournal(&journal);

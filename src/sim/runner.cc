@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/logging.hh"
-#include "sim/batch/sweep_batch.hh"
 #include "sim/journal.hh"
 
 namespace pri::sim
@@ -82,14 +81,12 @@ SimulationRunner::forEach(size_t n,
     }
 }
 
-void
-SimulationRunner::runRetries(const RunParams &params, uint64_t key,
-                             unsigned first_attempt,
-                             Outcome &out) const
+SimulationRunner::Outcome
+SimulationRunner::runOne(size_t index, const RunParams &params) const
 {
+    Outcome out;
     const unsigned tries = std::max(1u, retry.maxAttempts);
-    for (unsigned attempt = first_attempt; attempt < tries;
-         ++attempt) {
+    for (unsigned attempt = 0; attempt < tries; ++attempt) {
         if (attempt > 0 && retry.backoffMs > 0) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(attempt * retry.backoffMs));
@@ -103,8 +100,8 @@ SimulationRunner::runRetries(const RunParams &params, uint64_t key,
             out.error.clear();
             out.stalled = false;
             if (journal != nullptr)
-                journal->record(key, out.result);
-            return;
+                journal->record(paramsHash(params), out.result);
+            return out;
         } catch (const core::ProgressStallError &e) {
             // Watchdog stalls are deterministic; retrying would
             // just wedge again, so fail the point immediately.
@@ -117,19 +114,6 @@ SimulationRunner::runRetries(const RunParams &params, uint64_t key,
             out.error = "unknown exception";
         }
     }
-}
-
-SimulationRunner::Outcome
-SimulationRunner::runOne(size_t index, const RunParams &params) const
-{
-    Outcome out;
-    const uint64_t key = paramsHash(params);
-    if (journal != nullptr && journal->lookup(key, out.result)) {
-        out.fromJournal = true;
-        return out;
-    }
-
-    runRetries(params, key, 0, out);
     if (!out.ok()) {
         out.error = fmtStr("run {} ({}): {}", index,
                            paramsSummary(params), out.error);
@@ -137,86 +121,24 @@ SimulationRunner::runOne(size_t index, const RunParams &params) const
     return out;
 }
 
-unsigned
-SimulationRunner::effectiveBatchLanes() const
+std::vector<SimulationRunner::Outcome>
+SimulationRunner::runCaptured(const std::vector<RunParams> &batch) const
 {
-    return nBatchLanes == 0 ? defaultBatchLanes() : nBatchLanes;
-}
-
-void
-SimulationRunner::runBatched(const std::vector<RunParams> &batch,
-                             std::vector<Outcome> &out) const
-{
-    // Journal prefilter BEFORE batch formation: a previously
-    // journaled point must not occupy a lane (or force a tape
-    // build) just to be skipped, and a resumed sweep then forms the
-    // same batches it would on a fresh journal-free run minus the
-    // finished points.
-    std::vector<uint64_t> keys(batch.size());
+    // Journal hits are served here, on the calling thread: workers
+    // only simulate, and a fully journaled batch starts none.
+    std::vector<Outcome> out(batch.size());
     std::vector<size_t> pending;
     pending.reserve(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
-        keys[i] = paramsHash(batch[i]);
         if (journal != nullptr &&
-            journal->lookup(keys[i], out[i].result)) {
+            journal->lookup(paramsHash(batch[i]), out[i].result)) {
             out[i].fromJournal = true;
         } else {
             pending.push_back(i);
         }
     }
-
-    const auto groups =
-        formBatches(batch, pending, effectiveBatchLanes());
-    forEach(groups.size(), [&](size_t g) {
-        const BatchGroup &grp = groups[g];
-        if (grp.indices.size() == 1) {
-            // Singleton (unbatchable point or a group of one):
-            // exact serial path. The redundant journal lookup
-            // inside runOne is a guaranteed miss.
-            const size_t i = grp.indices.front();
-            out[i] = runOne(i, batch[i]);
-            return;
-        }
-
-        SweepBatch sb(batch, grp);
-        sb.prepare();
-        sb.drain();
-        auto lane_out = sb.finalize();
-        for (size_t k = 0; k < grp.indices.size(); ++k) {
-            const size_t i = grp.indices[k];
-            Outcome &o = out[i];
-            o.attempts = 1; // the batched attempt (attempt 0)
-            if (lane_out[k].ok()) {
-                o.result = std::move(lane_out[k].result);
-                if (journal != nullptr)
-                    journal->record(keys[i], o.result);
-                continue;
-            }
-            o.stalled = lane_out[k].stalled;
-            o.error = std::move(lane_out[k].error);
-            // The batched run was attempt 0; retries (if any)
-            // continue the serial attempt loop from 1, exactly as
-            // runOne would after its first failure. Stalls are
-            // deterministic — never retried.
-            if (!o.stalled)
-                runRetries(batch[i], keys[i], 1, o);
-            if (!o.ok()) {
-                o.error = fmtStr("run {} ({}): {}", i,
-                                 paramsSummary(batch[i]), o.error);
-            }
-        }
-    });
-}
-
-std::vector<SimulationRunner::Outcome>
-SimulationRunner::runCaptured(const std::vector<RunParams> &batch) const
-{
-    std::vector<Outcome> out(batch.size());
-    if (effectiveBatchLanes() > 1) {
-        runBatched(batch, out);
-        return out;
-    }
-    forEach(batch.size(), [&](size_t i) {
+    forEach(pending.size(), [&](size_t k) {
+        const size_t i = pending[k];
         out[i] = runOne(i, batch[i]);
     });
     return out;

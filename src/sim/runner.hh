@@ -3,12 +3,13 @@
  * SimulationRunner: a fixed-size thread pool that fans a batch of
  * independent simulation requests out across worker threads.
  *
- * Every run is share-nothing — it owns its SyntheticProgram, its
- * StatGroup, and its core — so the only coordination the pool needs
- * is an atomic work-stealing index. Results are returned in
- * submission order, which keeps every figure table byte-identical
- * to serial execution; `jobs == 1` degenerates to a plain loop with
- * no threads created, i.e. the exact old behavior.
+ * Runs share only read-only state — the program and compiled
+ * traces of their (benchmark, seed), from the process-wide workload
+ * cache — and each owns its StatGroup and core, so the only
+ * coordination the pool needs is an atomic work-stealing index.
+ * Results are returned in submission order, which keeps every
+ * figure table byte-identical to serial execution; `jobs == 1`
+ * degenerates to a plain loop with no threads created.
  *
  * The runner is fault-tolerant: a run that panics, fatals, stalls
  * (core::ProgressStallError from the forward-progress watchdog), or
@@ -16,8 +17,9 @@
  * a one-line parameter summary prefixed to the error — while every
  * sibling point completes normally. A RetryPolicy re-attempts
  * failed runs with linear backoff, and an optional SweepJournal
- * skips points a previous (possibly killed) process already
- * finished and persists each new result as it lands.
+ * serves points a previous (possibly killed) process already
+ * finished, on the calling thread before any worker starts, and
+ * persists each new result as it lands.
  */
 
 #ifndef PRI_SIM_RUNNER_HH
@@ -62,23 +64,16 @@ class SimulationRunner
     /** Re-attempt failed runs per @p policy (default: one try). */
     void setRetryPolicy(RetryPolicy policy) { retry = policy; }
 
-    /**
-     * Simulate up to @p lanes compatible sweep points per worker
-     * thread as one SoA batch off a shared workload replay
-     * (sim/batch/sweep_batch.hh). 1 (the default) disables
-     * batching — every point runs the serial path; 0 selects
-     * defaultBatchLanes(). Results, reports, errors, and journal
-     * contents are byte-identical at any lane count.
-     */
-    void setBatchLanes(unsigned lanes) { nBatchLanes = lanes; }
-
-    /** Configured lane count (before env override / auto). */
-    unsigned batchLanes() const { return nBatchLanes; }
+    /** Does nothing. It stays only because bench/perf/child.cpp
+     *  still calls it; remove both at the next change to that
+     *  benchmark. */
+    void setBatchLanes(unsigned) {}
 
     /**
      * Consult @p j before simulating (hits are returned without
-     * re-running) and persist every fresh success. Not owned; must
-     * outlive run()/runCaptured(). nullptr disables.
+     * re-running, looked up on the calling thread) and persist every
+     * fresh success. Not owned; must outlive run()/runCaptured().
+     * nullptr disables.
      */
     void setJournal(SweepJournal *j) { journal = j; }
 
@@ -144,26 +139,11 @@ class SimulationRunner
     void forEach(size_t n, const std::function<void(size_t)> &fn) const;
 
   private:
+    /** Simulate point @p index (the retry loop); journal the first
+     *  success, prefix the error with the point when all fail. */
     Outcome runOne(size_t index, const RunParams &params) const;
 
-    /** Attempt loop shared by runOne and the batched path: run
-     *  attempts [first_attempt, maxAttempts) of @p params,
-     *  accumulating into @p out; returns on first success (also
-     *  journals it under @p key). On return, out.error is raw
-     *  (unprefixed) when all attempts failed. */
-    void runRetries(const RunParams &params, uint64_t key,
-                    unsigned first_attempt, Outcome &out) const;
-
-    /** Lane count after auto resolution. */
-    unsigned effectiveBatchLanes() const;
-
-    /** Batched runCaptured body: journal prefilter, batch
-     *  formation, group execution. */
-    void runBatched(const std::vector<RunParams> &batch,
-                    std::vector<Outcome> &out) const;
-
     unsigned nJobs;
-    unsigned nBatchLanes = 1;
     RetryPolicy retry;
     SweepJournal *journal = nullptr;
 };

@@ -1,10 +1,7 @@
 #include "sim_instance.hh"
 
-#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
-#include "common/logging.hh"
 #include "workload/program.hh"
 
 namespace pri::sim
@@ -43,32 +40,14 @@ coreConfigFor(const RunParams &params)
     return cfg;
 }
 
-SimInstance::SimInstance(const RunParams &params,
-                         const SharedWorkload *shared,
-                         LaneArena *arena)
-    : params(params)
+SimInstance::SimInstance(const RunParams &params)
+    : params(params),
+      work(workload::trace::TraceCache::global().workload(
+          params.benchmark, params.seed))
 {
-    if (shared != nullptr) {
-        program = shared->program;
-    } else {
-        const auto &profile =
-            workload::profileByName(params.benchmark);
-        program = std::make_shared<const workload::SyntheticProgram>(
-            profile, params.seed);
-    }
-
     const core::CoreConfig cfg = coreConfigFor(params);
-
-    {
-        // Hot per-lane core state lands in this lane's arena slabs;
-        // containers built later (the cold checker, stat strings)
-        // stay on the heap.
-        ArenaScope scope(arena);
-        cpu = std::make_unique<core::OutOfOrderCore>(
-            cfg, *program, stats,
-            shared != nullptr ? shared->traces : nullptr,
-            shared != nullptr ? shared->tape : nullptr);
-    }
+    cpu = std::make_unique<core::OutOfOrderCore>(cfg, *work.program,
+                                                 stats, work.traces);
     cpu->setWallClockBudget(params.timeoutMs);
 
     if (params.checkGolden ||
@@ -76,7 +55,7 @@ SimInstance::SimInstance(const RunParams &params,
         golden::DiffChecker::Options opt;
         opt.archCheckInterval = params.goldenAuditInterval;
         checker =
-            std::make_unique<golden::DiffChecker>(*program, opt);
+            std::make_unique<golden::DiffChecker>(*work.program, opt);
         auto *core_ptr = cpu.get();
         checker->setAuditHook(
             [core_ptr] { core_ptr->checkInvariants(); });
@@ -84,62 +63,37 @@ SimInstance::SimInstance(const RunParams &params,
     }
 }
 
-bool
-SimInstance::step(uint64_t quantum)
+RunResult
+SimInstance::run()
 {
-    if (phase == Phase::Warmup) {
-        const uint64_t committed = cpu->committedInsts();
-        const uint64_t remain = params.warmupInsts > committed
-            ? params.warmupInsts - committed
-            : 0;
-        cpu->run(std::min(quantum, remain));
-        if (cpu->committedInsts() < params.warmupInsts)
-            return false;
+    cpu->run(params.warmupInsts);
 
-        cpu->beginMeasurement();
-        c0 = cpu->cycles();
-        i0 = cpu->committedInsts();
-        // Re-zero event counters so rates reflect the window only.
-        mp0 = stats.scalarValue("core.branchMispredicts");
-        br0 = stats.scalarValue("core.committedBranches");
-        pf0 = stats.scalarValue("pri.earlyFrees");
-        ef0 = stats.scalarValue("er.earlyFrees");
-        nw0 = stats.scalarValue("pri.narrowResultsInt") +
-            stats.scalarValue("pri.narrowResultsFp");
-        da0 = stats.scalarValue("rename.destAllocs");
-        ps0 = stats.scalarValue("core.prfPortStallOps");
-        pr0 = stats.scalarValue("core.prfPortReads");
-        pb0 = stats.scalarValue("core.prfPortInlineBypass");
-        measureTarget = i0 + params.measureInsts;
-        phase = Phase::Measure;
-        if (quantum != kNoLimit)
-            return false;
-    }
+    cpu->beginMeasurement();
+    c0 = cpu->cycles();
+    i0 = cpu->committedInsts();
+    // Re-zero event counters so rates reflect the window only.
+    mp0 = stats.scalarValue("core.branchMispredicts");
+    br0 = stats.scalarValue("core.committedBranches");
+    pf0 = stats.scalarValue("pri.earlyFrees");
+    ef0 = stats.scalarValue("er.earlyFrees");
+    nw0 = stats.scalarValue("pri.narrowResultsInt") +
+        stats.scalarValue("pri.narrowResultsFp");
+    da0 = stats.scalarValue("rename.destAllocs");
+    ps0 = stats.scalarValue("core.prfPortStallOps");
+    pr0 = stats.scalarValue("core.prfPortReads");
+    pb0 = stats.scalarValue("core.prfPortInlineBypass");
 
-    if (phase == Phase::Measure) {
-        const uint64_t committed = cpu->committedInsts();
-        const uint64_t remain = measureTarget > committed
-            ? measureTarget - committed
-            : 0;
-        cpu->run(std::min(quantum, remain));
-        if (cpu->committedInsts() < measureTarget)
-            return false;
-
-        if (params.checkInvariants)
-            cpu->checkInvariants();
-        if (checker)
-            checker->finishRun();
-        phase = Phase::Done;
-    }
-    return true;
+    cpu->run(params.measureInsts);
+    if (params.checkInvariants)
+        cpu->checkInvariants();
+    if (checker)
+        checker->finishRun();
+    return finish();
 }
 
 RunResult
 SimInstance::finish()
 {
-    PRI_ASSERT(phase == Phase::Done,
-               "finish() before the run completed");
-
     RunResult r;
     r.benchmark = params.benchmark;
     r.scheme = schemeName(params.scheme);

@@ -1,17 +1,13 @@
 /**
  * @file
- * SimInstance: one simulation request as a steppable object.
+ * SimInstance: one simulation request, built and then run.
  *
- * simulate() is SimInstance run to completion in one go; a
- * SweepBatch (DESIGN.md §14) holds K of them — the lanes — and
- * round-robins step() across them in committed-instruction quanta
- * off one shared workload (program + compiled traces + ReplayTape).
- * The phase machine (Warmup → Measure → Done) reproduces exactly
- * the operation sequence of the old monolithic simulate() body:
- * cpu.run() is slice-invariant (its commit target, watchdog audit
- * points, and wall-clock deadline are all absolute), so splitting
- * the two big run() calls into quanta leaves every cycle — and
- * therefore every stat and the full report — byte-identical.
+ * simulate() is a SimInstance built and run in one go. The
+ * constructor takes the program and compiled traces of the request's
+ * (benchmark, seed) from the process-wide workload cache
+ * (TraceCache::workload, DESIGN.md §14), so every sweep point of one
+ * workload shares them read-only; the core, its stats and the
+ * optional golden checker are the instance's own.
  */
 
 #ifndef PRI_SIM_SIM_INSTANCE_HH
@@ -20,89 +16,45 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/arena.hh"
 #include "golden/diff_checker.hh"
 #include "sim/simulation.hh"
-#include "workload/replay_tape.hh"
 #include "workload/trace/trace_cache.hh"
 
 namespace pri::sim
 {
 
-/**
- * Workload state shared read-only by every lane of a batch: the
- * synthetic program, its compiled micro-traces, and the pre-built
- * committed-path tape. All lanes of a batch have the same
- * (benchmark, seed), so one of each serves the whole batch.
- */
-struct SharedWorkload
-{
-    std::shared_ptr<const workload::SyntheticProgram> program;
-    std::shared_ptr<const workload::trace::ProgramTraces> traces;
-    /** Null = every lane generates its stream live. */
-    const workload::ReplayTape *tape = nullptr;
-};
-
-/** One simulation, steppable in committed-instruction quanta. */
+/** One simulation: the machine built for a RunParams. */
 class SimInstance
 {
   public:
     /**
-     * Build the machine for @p params. @p shared, when non-null,
-     * supplies the workload (batched lanes); null builds a private
-     * program/traces, which is the serial simulate() path. @p arena,
-     * when non-null, becomes the ambient arena while the core is
-     * constructed, packing its hot per-lane state (ROB rings,
-     * free-list stacks, scheduler bitmaps, ...) into that lane's
-     * slabs. The arena must outlive the instance.
+     * Build the machine for @p params on the cached workload of its
+     * (benchmark, seed). Throws on an unknown benchmark.
      *
-     * Does NOT apply the injectTransientFails seam — callers that
-     * retry (simulate(), the batch path) throw it themselves before
-     * constructing the machine.
+     * Does NOT apply the injectTransientFails seam: simulate(), the
+     * retrying caller, throws it before constructing the machine.
      */
-    SimInstance(const RunParams &params,
-                const SharedWorkload *shared = nullptr,
-                LaneArena *arena = nullptr);
+    explicit SimInstance(const RunParams &params);
 
     SimInstance(const SimInstance &) = delete;
     SimInstance &operator=(const SimInstance &) = delete;
 
-    /**
-     * Advance up to @p quantum committed instructions (kNoLimit =
-     * run the current phase to completion). Returns true once the
-     * run is complete; finish() may then be called.
-     */
-    bool step(uint64_t quantum);
+    /** Warm up, measure, and assemble the RunResult. Call once. */
+    RunResult run();
 
-    bool done() const { return phase == Phase::Done; }
-
-    /** Assemble the RunResult (legal once done()). */
-    RunResult finish();
-
-    /** Params this instance was built for (batch bookkeeping). */
-    const RunParams &runParams() const { return params; }
-
-    static constexpr uint64_t kNoLimit = ~uint64_t{0};
+    /** The shared program and traces this instance runs on. */
+    const workload::trace::Workload &workload() const { return work; }
 
   private:
-    enum class Phase : uint8_t
-    {
-        Warmup,
-        Measure,
-        Done,
-    };
+    /** Assemble the RunResult once the measure phase committed. */
+    RunResult finish();
 
     RunParams params;
-
-    /** Owned when built serially, aliased when batch-shared. */
-    std::shared_ptr<const workload::SyntheticProgram> program;
+    workload::trace::Workload work;
 
     StatGroup stats;
     std::unique_ptr<core::OutOfOrderCore> cpu;
     std::unique_ptr<golden::DiffChecker> checker;
-
-    Phase phase = Phase::Warmup;
-    uint64_t measureTarget = 0; ///< absolute committed-inst target
 
     // Measurement-window baselines, captured at beginMeasurement.
     uint64_t c0 = 0;

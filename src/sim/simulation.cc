@@ -138,12 +138,9 @@ simulate(const RunParams &params)
     fr.clear();
     fr.setContext(paramsSummary(params).c_str());
 
-    // SimInstance run to completion is the whole simulation: build
-    // the machine, warm up, measure, and assemble the result (see
-    // sim_instance.hh for the phase machine).
-    SimInstance inst(params);
-    inst.step(SimInstance::kNoLimit);
-    return inst.finish();
+    // Build the machine on the cached workload, warm up, measure,
+    // and assemble the result (sim_instance.hh).
+    return SimInstance(params).run();
 }
 
 double

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <deque>
 
 #include "common/bitutils.hh"
@@ -25,6 +26,12 @@ clampd(double v, double lo, double hi)
     return std::min(hi, std::max(lo, v));
 }
 
+uint64_t
+mixDouble(uint64_t h, double v)
+{
+    return hashCombine(h, std::bit_cast<uint64_t>(v));
+}
+
 } // namespace
 
 SyntheticProgram::SyntheticProgram(const BenchmarkProfile &profile,
@@ -34,6 +41,54 @@ SyntheticProgram::SyntheticProgram(const BenchmarkProfile &profile,
     SplitMixRng rng(splitMix64(seed ^ 0xb10c5));
     buildStreams();
     buildFunctions(rng);
+    fp = computeFingerprint();
+}
+
+uint64_t
+SyntheticProgram::computeFingerprint() const
+{
+    const auto &p = prof;
+    uint64_t h = hashCombine(0x7472616365ULL /* "trace" */, theSeed,
+                             numBlocks());
+    h = hashCombine(h, numStaticInsts());
+
+    // Every scalar the replay generators compare against.
+    h = mixDouble(h, p.fracNegative);
+    h = mixDouble(h, p.fpFracZero);
+    h = mixDouble(h, p.fpFracSigTrivialNonZero);
+    h = mixDouble(h, p.randomAccessFrac);
+    h = mixDouble(h, p.branchCorrelatedFrac);
+    for (unsigned bits = 1; bits <= 64; ++bits)
+        h = mixDouble(h, cdf.at(bits));
+
+    for (const MemStream &st : streams_) {
+        h = hashCombine(h, st.base, st.bytes);
+        h = hashCombine(h, st.random ? 1 : 0);
+    }
+
+    for (const BasicBlock &blk : blocks_) {
+        h = hashCombine(h, blk.startPc, blk.fallthrough);
+        for (const StaticInst &si : blk.insts) {
+            h = hashCombine(h, si.id, si.pc);
+            h = hashCombine(h, static_cast<uint64_t>(si.cls),
+                            (uint64_t{si.dst.flat()} << 32) |
+                                (uint64_t{si.src1.flat()} << 16) |
+                                si.src2.flat());
+            h = hashCombine(h,
+                            std::bit_cast<uint32_t>(si.memStream),
+                            std::bit_cast<uint32_t>(si.altStream));
+            h = hashCombine(h, si.takenBlock,
+                            std::bit_cast<uint32_t>(si.bias));
+            h = hashCombine(h,
+                            (uint64_t{si.isCall} << 5) |
+                                (uint64_t{si.isReturn} << 4) |
+                                (uint64_t{si.isUncond} << 3) |
+                                (uint64_t{si.correlatable} << 2) |
+                                (uint64_t{si.isDeadHint} << 1),
+                            si.widthClass);
+        }
+    }
+    return h;
 }
 
 void

@@ -105,7 +105,8 @@ struct ProgLoc
 
 /**
  * The static program for one benchmark profile. Immutable after
- * construction; shared by the walker and (read-only) by tests.
+ * construction, so one instance is shared read-only by every walker
+ * and core of its (benchmark, seed) (TraceCache::workload).
  */
 class SyntheticProgram
 {
@@ -145,9 +146,14 @@ class SyntheticProgram
         return funcEntry;
     }
 
+    /** Content fingerprint (trace::programFingerprint), hashed once
+     *  at construction because the program never changes. */
+    uint64_t fingerprint() const { return fp; }
+
   private:
     void buildStreams();
     void buildFunctions(SplitMixRng &rng);
+    uint64_t computeFingerprint() const;
 
     const BenchmarkProfile &prof;
     uint64_t theSeed;
@@ -157,6 +163,7 @@ class SyntheticProgram
     std::vector<uint32_t> funcEntry;
     std::unordered_map<uint64_t, uint32_t> blockByPc;
     size_t numInsts = 0;
+    uint64_t fp = 0;
 };
 
 } // namespace pri::workload

@@ -1,73 +1,19 @@
 #include "workload/trace/trace_cache.hh"
 
 #include <algorithm>
-#include <bit>
 
-#include "common/hashing.hh"
 #include "common/logging.hh"
 #include "workload/gen_params.hh"
+#include "workload/profile.hh"
 #include "workload/trace/block_compiler.hh"
 
 namespace pri::workload::trace
 {
 
-namespace
-{
-
-uint64_t
-mixDouble(uint64_t h, double v)
-{
-    return hashCombine(h, std::bit_cast<uint64_t>(v));
-}
-
-} // namespace
-
 uint64_t
 programFingerprint(const SyntheticProgram &prog)
 {
-    const auto &p = prog.profile();
-    uint64_t h = hashCombine(0x7472616365ULL /* "trace" */,
-                             prog.seed(), prog.numBlocks());
-    h = hashCombine(h, prog.numStaticInsts());
-
-    // Every scalar the replay generators compare against.
-    h = mixDouble(h, p.fracNegative);
-    h = mixDouble(h, p.fpFracZero);
-    h = mixDouble(h, p.fpFracSigTrivialNonZero);
-    h = mixDouble(h, p.randomAccessFrac);
-    h = mixDouble(h, p.branchCorrelatedFrac);
-    for (unsigned bits = 1; bits <= 64; ++bits)
-        h = mixDouble(h, prog.widthCdf().at(bits));
-
-    for (const MemStream &st : prog.streams()) {
-        h = hashCombine(h, st.base, st.bytes);
-        h = hashCombine(h, st.random ? 1 : 0);
-    }
-
-    for (uint32_t b = 0; b < prog.numBlocks(); ++b) {
-        const BasicBlock &blk = prog.block(b);
-        h = hashCombine(h, blk.startPc, blk.fallthrough);
-        for (const StaticInst &si : blk.insts) {
-            h = hashCombine(h, si.id, si.pc);
-            h = hashCombine(h, static_cast<uint64_t>(si.cls),
-                            (uint64_t{si.dst.flat()} << 32) |
-                                (uint64_t{si.src1.flat()} << 16) |
-                                si.src2.flat());
-            h = hashCombine(h,
-                            std::bit_cast<uint32_t>(si.memStream),
-                            std::bit_cast<uint32_t>(si.altStream));
-            h = hashCombine(h, si.takenBlock,
-                            std::bit_cast<uint32_t>(si.bias));
-            h = hashCombine(h,
-                            (uint64_t{si.isCall} << 5) |
-                                (uint64_t{si.isReturn} << 4) |
-                                (uint64_t{si.isUncond} << 3) |
-                                (uint64_t{si.correlatable} << 2) |
-                                (uint64_t{si.isDeadHint} << 1),
-                            si.widthClass);
-        }
-    }
-    return h;
+    return prog.fingerprint();
 }
 
 ProgramTraces::ProgramTraces(const SyntheticProgram &prog)
@@ -117,8 +63,34 @@ TraceCache::global()
 std::shared_ptr<const ProgramTraces>
 TraceCache::acquire(const SyntheticProgram &prog)
 {
-    const uint64_t key = programFingerprint(prog);
     std::lock_guard<std::mutex> lock(mu);
+    return acquireLocked(prog);
+}
+
+Workload
+TraceCache::workload(const std::string &benchmark, uint64_t seed)
+{
+    const BenchmarkProfile &profile = profileByName(benchmark);
+    std::lock_guard<std::mutex> lock(mu);
+    const std::pair<std::string, uint64_t> key{benchmark, seed};
+    if (auto it = workloads.find(key); it != workloads.end()) {
+        ++nWorkloadHits;
+        return it->second;
+    }
+    if (workloads.size() >= kMaxPrograms)
+        workloads.clear(); // same wholesale trim as the trace map
+    Workload w;
+    w.program = std::make_shared<const SyntheticProgram>(profile, seed);
+    w.traces = acquireLocked(*w.program);
+    ++nBuilt;
+    workloads.emplace(key, w);
+    return w;
+}
+
+std::shared_ptr<const ProgramTraces>
+TraceCache::acquireLocked(const SyntheticProgram &prog)
+{
+    const uint64_t key = programFingerprint(prog);
     if (auto it = entries.find(key); it != entries.end()) {
         ++nShared;
         return it->second;
@@ -145,6 +117,8 @@ TraceCache::stats() const
     s.programsCompiled = nCompiled;
     s.programsShared = nShared;
     s.programsEvicted = nEvicted;
+    s.workloadsBuilt = nBuilt;
+    s.workloadsShared = nWorkloadHits;
     s.blocksCompiled = nBlocks;
     s.microOps = nOps;
     for (const auto &[key, traces] : entries)
@@ -159,7 +133,9 @@ TraceCache::reset()
 {
     std::lock_guard<std::mutex> lock(mu);
     entries.clear();
+    workloads.clear();
     nCompiled = nShared = nEvicted = nBlocks = nOps = 0;
+    nBuilt = nWorkloadHits = 0;
     opsReplayed.store(0, std::memory_order_relaxed);
     opsLegacy.store(0, std::memory_order_relaxed);
 }

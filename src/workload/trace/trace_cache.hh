@@ -9,11 +9,13 @@
  * of profile scalars the replay generators read. It is immutable
  * after compilation.
  *
- * The TraceCache shares ProgramTraces across all sweep points of the
- * same workload: keyed by a content fingerprint of the program, built
- * once under a mutex on first acquire, then handed out read-only — so
- * `--jobs N` workers and whole fig10-style sweeps stop re-decoding
- * (DESIGN.md §13).
+ * The TraceCache is the process's workload cache. It shares
+ * ProgramTraces across all sweep points of the same program, keyed by
+ * a content fingerprint, and it shares the SyntheticProgram itself
+ * across all sweep points of the same (benchmark, seed). Each is built
+ * once under a mutex on first use, then handed out read-only, so
+ * `--jobs N` workers and whole fig10-style sweeps build each program
+ * and decode each trace set once (DESIGN.md §13, §14).
  */
 
 #ifndef PRI_WORKLOAD_TRACE_TRACE_CACHE_HH
@@ -21,9 +23,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "workload/program.hh"
@@ -98,15 +103,23 @@ class ProgramTraces
 /**
  * Content fingerprint of a program: a hash over every StaticInst
  * field, stream, and profile scalar that influences compiled traces
- * or replay draws. Keying the cache by content (not by profile name)
- * keeps sharing correct even for hand-built profiles reusing a name.
+ * or replay draws, computed once when the program is built. Keying
+ * the trace cache by content (not by profile name) keeps sharing
+ * correct even for hand-built profiles reusing a name.
  */
 uint64_t programFingerprint(const SyntheticProgram &prog);
 
+/** One (benchmark, seed)'s program and its compiled traces. */
+struct Workload
+{
+    std::shared_ptr<const SyntheticProgram> program;
+    std::shared_ptr<const ProgramTraces> traces;
+};
+
 /**
- * Process-global, thread-safe cache of compiled program traces.
- * First acquire of a program compiles under the mutex; concurrent
- * acquirers of the same program wait and share the one compilation.
+ * Process-global, thread-safe cache of programs and their compiled
+ * traces. A first use builds under the mutex; concurrent users of the
+ * same entry wait and share the one build.
  */
 class TraceCache
 {
@@ -117,11 +130,20 @@ class TraceCache
     std::shared_ptr<const ProgramTraces>
     acquire(const SyntheticProgram &prog);
 
+    /**
+     * Get (building if needed) the program of the profileByName()
+     * benchmark @p benchmark at @p seed, with its traces from
+     * acquire(). Throws like profileByName() on an unknown name.
+     */
+    Workload workload(const std::string &benchmark, uint64_t seed);
+
     struct Stats
     {
         uint64_t programsCompiled = 0; ///< acquire() misses
         uint64_t programsShared = 0;   ///< acquire() hits
         uint64_t programsEvicted = 0;  ///< capacity-trim drops
+        uint64_t workloadsBuilt = 0;   ///< workload() misses
+        uint64_t workloadsShared = 0;  ///< workload() hits
         uint64_t blocksCompiled = 0;   ///< cumulative
         uint64_t microOps = 0;         ///< cumulative
         uint64_t traceBytes = 0;       ///< currently resident
@@ -149,21 +171,29 @@ class TraceCache
         opsLegacy.fetch_add(legacy, std::memory_order_relaxed);
     }
 
-    /** Drop all cached programs and zero statistics (tests/bench). */
+    /** Drop all cached programs and traces and zero statistics
+     *  (tests/bench). */
     void reset();
 
   private:
-    // Fuzzers draw a fresh seed per point, so the map could otherwise
-    // grow without bound across a long process. Live walkers keep
+    /** acquire() with mu held. */
+    std::shared_ptr<const ProgramTraces>
+    acquireLocked(const SyntheticProgram &prog);
+
+    // Fuzzers draw a fresh seed per point, so each map could otherwise
+    // grow without bound across a long process. Live holders keep
     // their shared_ptr, so a trim never invalidates anyone.
     static constexpr size_t kMaxPrograms = 128;
 
     mutable std::mutex mu;
     std::unordered_map<uint64_t, std::shared_ptr<const ProgramTraces>>
         entries;
+    std::map<std::pair<std::string, uint64_t>, Workload> workloads;
     uint64_t nCompiled = 0;
     uint64_t nShared = 0;
     uint64_t nEvicted = 0;
+    uint64_t nBuilt = 0;
+    uint64_t nWorkloadHits = 0;
     uint64_t nBlocks = 0;
     uint64_t nOps = 0;
     std::atomic<uint64_t> opsReplayed{0};

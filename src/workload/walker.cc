@@ -6,7 +6,6 @@
 #include "common/hashing.hh"
 #include "common/logging.hh"
 #include "workload/gen_params.hh"
-#include "workload/replay_tape.hh"
 #include "workload/trace/trace_cache.hh"
 
 namespace pri::workload
@@ -15,20 +14,16 @@ namespace pri::workload
 using namespace genp;
 
 Walker::Walker(const SyntheticProgram &program,
-               const trace::ProgramTraces *traces,
-               const ReplayTape *tape)
+               const trace::ProgramTraces *traces)
     : prog(program), seed(program.seed()), loc(program.entry()),
       tr(traces),
       cur(traces != nullptr ? traces->blockOps(loc.block) + loc.idx
-                            : nullptr),
-      tape_(tape)
+                            : nullptr)
 {
     PRI_ASSERT(traces == nullptr ||
                    traces->fingerprint() ==
                        trace::programFingerprint(program),
                "walker given traces compiled from another program");
-    PRI_ASSERT(tape == nullptr || traces != nullptr,
-               "tape replay requires the traced walker");
 }
 
 Walker::~Walker()
@@ -218,11 +213,8 @@ Walker::replayBranchOutcome(const trace::MicroOp &op,
 WInst
 Walker::next()
 {
-    if (cur != nullptr) {
-        if (tape_ != nullptr && onPath_ && gidx < tape_->size())
-            return nextFromTape();
+    if (cur != nullptr)
         return nextTraced();
-    }
 
     PRI_ASSERT(!pending, "next() called with an unsteered branch");
     ++nLegacyDecoded;
@@ -275,27 +267,6 @@ Walker::next()
     // Advance within the block / fall through to the successor.
     if (++loc.idx >= blk.insts.size())
         loc = ProgLoc{blk.fallthrough, 0};
-    return wi;
-}
-
-WInst
-Walker::nextFromTape()
-{
-    PRI_ASSERT(!pending, "next() called with an unsteered branch");
-    ++nReplayed;
-
-    // On the committed path (loc, stack, gidx, hist) match the tape
-    // walker at this gidx, so the pre-built entry *is* what live
-    // generation would produce; copy it and adopt the recorded
-    // post-fetch position. seq alone is lane-local: it counts
-    // wrong-path fetches too and never rolls back.
-    const ReplayTape::Entry &e = tape_->entry(gidx);
-    ++gidx;
-    WInst wi = e.wi;
-    wi.seq = seqCounter++;
-    loc = e.nextLoc;
-    cur = e.nextCur;
-    pending = e.isBranch;
     return wi;
 }
 
@@ -378,15 +349,6 @@ Walker::steer(const WInst &branch, bool taken, uint64_t target_pc)
     PRI_ASSERT(pending, "steer() without a pending branch");
     pending = false;
 
-    // Committed-path tracking: fetching the actual direction (and,
-    // when taken, the actual target) keeps the walker on the tape;
-    // any other steer leaves it until a checkpoint restore returns
-    // to an on-path branch.
-    if (onPath_) {
-        onPath_ = taken == branch.taken &&
-            (!taken || target_pc == branch.actualTarget);
-    }
-
     if (!branch.isUncond)
         hist = (hist << 1) | (taken ? 1 : 0);
 
@@ -439,7 +401,7 @@ Walker::checkpoint() const
 {
     PRI_ASSERT(pending,
                "walker checkpoints are taken at pending branches");
-    return WalkerCkpt{loc, stack, gidx, hist, onPath_};
+    return WalkerCkpt{loc, stack, gidx, hist};
 }
 
 void
@@ -451,7 +413,6 @@ Walker::checkpointInto(WalkerCkpt &out) const
     out.stack.assign(stack.begin(), stack.end());
     out.gidx = gidx;
     out.hist = hist;
-    out.onPath = onPath_;
 }
 
 void
@@ -461,7 +422,6 @@ Walker::restore(const WalkerCkpt &ckpt)
     stack.assign(ckpt.stack.begin(), ckpt.stack.end());
     gidx = ckpt.gidx;
     hist = ckpt.hist;
-    onPath_ = ckpt.onPath;
     if (tr != nullptr)
         cur = tr->blockOps(loc.block) + loc.idx;
     // The branch at `loc` has already been generated; the core must

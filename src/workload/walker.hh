@@ -38,8 +38,6 @@ namespace trace
 class ProgramTraces;
 } // namespace trace
 
-class ReplayTape;
-
 /** Restorable walker state, captured at every fetched branch. */
 struct WalkerCkpt
 {
@@ -47,9 +45,6 @@ struct WalkerCkpt
     std::vector<ProgLoc> stack;   ///< call-stack of return locations
     uint64_t gidx = 0;            ///< dynamic index counter
     uint64_t hist = 0;            ///< speculative global history
-    /** Walker was on the committed path at this branch (replay-tape
-     *  eligibility; restored along with the rest of the state). */
-    bool onPath = false;
 };
 
 /** Front-end instruction supplier for one benchmark run. */
@@ -62,16 +57,9 @@ class Walker
      * and must outlive the walker. Null selects the legacy decode
      * path (the golden model always uses it, so golden-checked runs
      * cross-check the two paths instruction by instruction).
-     *
-     * @p tape, when non-null, short-circuits next() with pre-built
-     * committed-path entries while the walker is on the committed
-     * path (requires traced mode; see ReplayTape). Byte-identical
-     * output either way — the tape holds exactly what the
-     * generators would produce.
      */
     explicit Walker(const SyntheticProgram &program,
-                    const trace::ProgramTraces *traces = nullptr,
-                    const ReplayTape *tape = nullptr);
+                    const trace::ProgramTraces *traces = nullptr);
     ~Walker();
 
     Walker(const Walker &) = delete;
@@ -125,16 +113,6 @@ class Walker
     /** Is this walker replaying compiled micro-traces? */
     bool traced() const { return cur != nullptr; }
 
-    /** Still fetching the committed path (trivially true without a
-     *  tape — the flag is only maintained for tape eligibility)? */
-    bool onCommittedPath() const { return onPath_; }
-
-    /** Current position (tape construction and tests). */
-    ProgLoc location() const { return loc; }
-
-    /** MicroOp at the current position; null on the legacy path. */
-    const trace::MicroOp *currentOp() const { return cur; }
-
     // --- value generators (exposed for tests and the Figure 2
     //     operand-significance study) ---
 
@@ -151,10 +129,6 @@ class Walker
 
     /** Trace-replay twin of next(): pointer bump + kind dispatch. */
     WInst nextTraced();
-
-    /** Committed-path twin of next(): copy the pre-built tape entry
-     *  and stamp this lane's seq (batched replay fast path). */
-    WInst nextFromTape();
 
     // Pre-folded replay generators (byte-identical to the ones above
     // by the gen_params.hh folding identity).
@@ -181,16 +155,6 @@ class Walker
     const trace::MicroOp *cur = nullptr;
     uint64_t nReplayed = 0;     ///< flushed to TraceCache stats
     uint64_t nLegacyDecoded = 0;
-
-    // --- committed-path tape replay state ---
-    /** Shared pre-built committed-path stream; null = always
-     *  generate live. */
-    const ReplayTape *tape_ = nullptr;
-    /** Every fetch so far was down the committed path, i.e. (loc,
-     *  stack, gidx, hist) equal the tape walker's state at gidx and
-     *  tape entries may substitute for live generation. Cleared by
-     *  steer() down a wrong direction, restored with checkpoints. */
-    bool onPath_ = true;
 };
 
 } // namespace pri::workload

@@ -84,8 +84,8 @@ drawPoint(uint64_t seed, uint64_t index)
     // it on/off must never change a single golden-checked commit;
     // the cycle budget turns any wedge the fuzzer ever finds into a
     // structured per-point failure instead of a hung CI job. (Salts
-    // 11/12 belong to the retry-policy test below, salt 14 to the
-    // batching test, salts 16/17 to the fault-campaign axis.)
+    // 11/12 belong to the retry-policy test below, salts 16/17 to
+    // the fault-campaign axis; salt 14 is retired.)
     p.watchdog = pick(10, 2) != 0;
     // Read-port arbitration axis: a binding budget reorders issue,
     // so every limited draw cross-checks the arbitrated machine
@@ -160,61 +160,6 @@ TEST(ConfigFuzz, RetryPolicyConvergesGoldenClean)
         auto direct = p;
         direct.injectTransientFails = 0;
         EXPECT_EQ(r.report, sim::simulate(direct).report);
-    }
-}
-
-/**
- * Batched-execution axis: each iteration expands one fuzzed point
- * into a small scheme/width/pregs panel sharing its (benchmark,
- * seed, insts) fingerprint — the shape sweep batching groups — and
- * runs it through a runner with a fuzzed lane count (salt 14).
- * Every lane must stay golden-clean and byte-identical to a direct
- * serial simulate() of the same point.
- */
-TEST(ConfigFuzz, BatchedLanesStayGoldenClean)
-{
-    const uint64_t seed = envOr("PRI_FUZZ_SEED", 1);
-    const uint64_t runs = envOr("PRI_FUZZ_RUNS", 6);
-    static const sim::Scheme kPanel[] = {
-        sim::Scheme::Base,
-        sim::Scheme::EarlyRelease,
-        sim::Scheme::PriRefcountCkptcount,
-        sim::Scheme::PriPlusEr,
-        sim::Scheme::InfinitePregs,
-    };
-    for (uint64_t i = 0; i < runs; ++i) {
-        const auto base = drawPoint(seed, i);
-        const auto pick = [&](uint64_t salt, uint64_t bound) {
-            return hashCombine(seed, i, salt) % bound;
-        };
-        const unsigned lanes =
-            2 + static_cast<unsigned>(pick(14, 7)); // 2..8
-        SCOPED_TRACE("PRI_FUZZ_SEED=" + std::to_string(seed) +
-                     " index=" + std::to_string(i) + ": " +
-                     base.benchmark + " lanes " +
-                     std::to_string(lanes));
-
-        std::vector<sim::RunParams> panel;
-        for (size_t k = 0; k < std::size(kPanel); ++k) {
-            auto p = base;
-            p.scheme = kPanel[k];
-            p.width = k % 2 ? 8 : 4;
-            if (k == 2)
-                p.physRegs = 96;
-            panel.push_back(std::move(p));
-        }
-
-        sim::SimulationRunner runner(1);
-        runner.setBatchLanes(lanes);
-        const auto outcomes = runner.runCaptured(panel);
-        ASSERT_EQ(outcomes.size(), panel.size());
-        for (size_t k = 0; k < panel.size(); ++k) {
-            ASSERT_TRUE(outcomes[k].ok()) << outcomes[k].error;
-            const auto &r = outcomes[k].result;
-            EXPECT_EQ(r.goldenChecked, r.committedTotal);
-            EXPECT_EQ(r.report, sim::simulate(panel[k]).report)
-                << "lane " << k;
-        }
     }
 }
 

@@ -10,20 +10,16 @@
  *     2-port budget adds no allocation over the unlimited leg;
  *  3. branch recovery (gcc, the branchiest profile): no allocation
  *     while checkpoints are taken and restored through the pool;
- *  4. the traced walker's replay loop: no allocation;
- *  5. SweepBatch::drain(): no allocation that grows with the
- *     measure length (a delta between two lengths, so one-time
- *     lane growth cancels).
+ *  4. the traced walker's replay loop: no allocation.
  *
- * A sixth gate bounds the bytes one core allocates at construction,
+ * A fifth gate bounds the bytes one core allocates at construction,
  * so no per-cycle structure can buy its zero-allocation steady state
  * with a worst-case reservation again (the event wheel once held
  * 1024 x robSize event slots: 8 MiB per 8-wide core).
  *
  * Each window is a pure delta of the counters, so background
  * allocations outside it (program build, trace compile, gtest
- * bookkeeping) do not count. The aligned overloads are counted too:
- * HotVec storage outside a lane arena comes from them.
+ * bookkeeping) do not count. The aligned overloads are counted too.
  */
 
 #include <gtest/gtest.h>
@@ -32,10 +28,8 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
-#include <vector>
 
 #include "core/core.hh"
-#include "sim/batch/sweep_batch.hh"
 #include "workload/program.hh"
 #include "workload/trace/trace_cache.hh"
 #include "workload/walker.hh"
@@ -220,48 +214,6 @@ TEST(AllocGates, WalkerReplaySteadyState)
         step();
     EXPECT_EQ(allocs() - a0, 0u);
     g_sink = sink; // keep the replay loop observable
-}
-
-/** Allocations inside the drains of a fig10-shaped panel (every
- *  scheme, both widths, one workload) at @p measure. */
-uint64_t
-batchDrainAllocs(uint64_t measure)
-{
-    std::vector<sim::RunParams> pts;
-    for (unsigned width : {4u, 8u}) {
-        for (const auto scheme : sim::kAllSchemes) {
-            sim::RunParams p;
-            p.benchmark = "gcc";
-            p.width = width;
-            p.scheme = scheme;
-            p.warmupInsts = 5000;
-            p.measureInsts = measure;
-            p.seed = 11;
-            pts.push_back(p);
-        }
-    }
-    std::vector<size_t> pending(pts.size());
-    for (size_t i = 0; i < pending.size(); ++i)
-        pending[i] = i;
-
-    uint64_t n = 0;
-    for (const auto &group :
-         sim::formBatches(pts, pending, sim::defaultBatchLanes())) {
-        sim::SweepBatch batch(pts, group);
-        batch.prepare();
-        const uint64_t a0 = allocs();
-        batch.drain();
-        n += allocs() - a0;
-        for (const auto &out : batch.finalize())
-            EXPECT_TRUE(out.ok()) << out.error;
-    }
-    return n;
-}
-
-TEST(AllocGates, BatchedDrainSteadyState)
-{
-    EXPECT_EQ(batchDrainAllocs(2 * kMeasure / 4),
-              batchDrainAllocs(kMeasure / 4));
 }
 
 TEST(AllocGates, CoreConstructionFootprint)

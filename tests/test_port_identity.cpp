@@ -7,8 +7,8 @@
  *    never-binding finite budget times identically to unlimited
  *    (same cycles/IPC/occupancy; reports differ only by the four
  *    port-stat lines);
- *  - a binding budget is byte-identical across worker counts,
- *    batched-vs-serial execution and journal record/replay — the
+ *  - a binding budget is byte-identical across worker counts and
+ *    journal record/replay — the
  *    arbitration decision must be a pure function of machine state,
  *    not of how the sweep infrastructure scheduled the run. Its
  *    timing is pinned in test_sched_wakeup.cpp.
@@ -136,28 +136,6 @@ TEST(PortIdentity, BindingBudgetIdenticalAcrossJobs)
         SCOPED_TRACE("point " + std::to_string(i));
         expectIdentical(serial[i], parallel[i]);
         EXPECT_GT(serial[i].portStallsPerKInst, 0.0);
-    }
-}
-
-/** Batched lanes (shared workload) vs the serial path. */
-TEST(PortIdentity, BindingBudgetIdenticalUnderBatching)
-{
-    std::vector<RunParams> batch;
-    for (unsigned ports : {2u, 4u})
-        batch.push_back(portedParams(ports));
-
-    SimulationRunner serial(1);
-    serial.setBatchLanes(1);
-    const auto one = serial.run(batch);
-
-    SimulationRunner batched(1);
-    batched.setBatchLanes(4);
-    const auto lanes = batched.run(batch);
-
-    ASSERT_EQ(one.size(), lanes.size());
-    for (size_t i = 0; i < one.size(); ++i) {
-        SCOPED_TRACE("point " + std::to_string(i));
-        expectIdentical(one[i], lanes[i]);
     }
 }
 

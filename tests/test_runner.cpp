@@ -357,11 +357,11 @@ TEST(SimulationRunner, JournalSkipsTornLines)
     std::remove(path.c_str());
 }
 
-/** Hits and fresh runs in one batch: worker threads look points up
- *  while their siblings append, and a reader thread keeps looking
- *  every point up meanwhile, so appends that grow the store race
- *  real lookups. Every result matches a direct simulate(), and a
- *  reload then holds each point exactly once. */
+/** Hits and fresh runs in one batch: the calling thread serves the
+ *  hits, worker threads append the rest, and a reader thread keeps
+ *  looking every point up meanwhile, so appends that grow the store
+ *  race real lookups. Every result matches a direct simulate(), and
+ *  a reload then holds each point exactly once. */
 TEST(SimulationRunner, JournalMixedHitsAndRecords)
 {
     const std::string path =
@@ -382,7 +382,6 @@ TEST(SimulationRunner, JournalMixedHitsAndRecords)
         SweepJournal journal(path);
         EXPECT_EQ(journal.loadedPoints(), (batch.size() + 1) / 2);
         SimulationRunner runner(4);
-        runner.setBatchLanes(1);
         runner.setJournal(&journal);
         std::atomic<bool> done{false};
         std::thread reader([&] {

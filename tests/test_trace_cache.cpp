@@ -5,17 +5,23 @@
  * walker must emit a byte-identical WInst stream to the legacy decode
  * path (including across wrong-path detours and mid-block restores),
  * and the process-global TraceCache must share one compilation across
- * all walkers of the same program. Also holds the checkpointInto
+ * all walkers of the same program and one program across all
+ * simulations of the same (benchmark, seed), also under racing
+ * threads (hence the determinism label). Also holds the checkpointInto
  * stack-reuse regression test: once a pooled checkpoint slot has seen
  * the deepest call stack, captures must never reallocate.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "sim/sim_instance.hh"
 #include "workload/profile.hh"
 #include "workload/program.hh"
 #include "workload/trace/micro_op.hh"
@@ -309,6 +315,123 @@ TEST(TraceCacheTest, FingerprintIsContentSensitive)
 
     trace::ProgramTraces traces(a1);
     EXPECT_EQ(traces.fingerprint(), trace::programFingerprint(a1));
+}
+
+TEST(WorkloadCache, SimInstancesOfOneBenchmarkSeedShareOneWorkload)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+
+    sim::RunParams p;
+    p.benchmark = "gcc";
+    p.seed = 7;
+    sim::RunParams q = p;
+    q.width = 8;
+    q.scheme = sim::Scheme::PriRefcountCkptcount;
+    const sim::SimInstance a(p);
+    const sim::SimInstance b(q);
+    EXPECT_EQ(a.workload().program.get(), b.workload().program.get());
+    EXPECT_EQ(a.workload().traces.get(), b.workload().traces.get());
+    EXPECT_EQ(a.workload().traces->fingerprint(),
+              a.workload().program->fingerprint());
+
+    const auto s = cache.stats();
+    EXPECT_EQ(s.workloadsBuilt, 1u);
+    EXPECT_EQ(s.workloadsShared, 1u);
+    EXPECT_EQ(s.programsCompiled, 1u);
+    cache.reset();
+}
+
+TEST(WorkloadCache, OtherSeedOrBenchmarkGetsItsOwn)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+
+    const auto gcc7 = cache.workload("gcc", 7);
+    const auto gcc8 = cache.workload("gcc", 8);
+    const auto gzip7 = cache.workload("gzip", 7);
+    EXPECT_NE(gcc7.program.get(), gcc8.program.get());
+    EXPECT_NE(gcc7.traces.get(), gcc8.traces.get());
+    EXPECT_NE(gcc7.program.get(), gzip7.program.get());
+    EXPECT_NE(gcc7.traces.get(), gzip7.traces.get());
+    EXPECT_EQ(gcc8.program->seed(), 8u);
+    EXPECT_EQ(gzip7.program->profile().name, "gzip");
+    EXPECT_EQ(cache.stats().workloadsBuilt, 3u);
+    EXPECT_EQ(cache.stats().programsCompiled, 3u);
+
+    // A separately built copy of a cached program still finds the
+    // cached traces: acquire() stays keyed by content.
+    SyntheticProgram own(profileByName("gcc"), 7);
+    EXPECT_EQ(cache.acquire(own).get(), gcc7.traces.get());
+
+    EXPECT_THROW(cache.workload("no-such-benchmark", 7),
+                 std::invalid_argument);
+    EXPECT_EQ(cache.stats().workloadsBuilt, 3u);
+    cache.reset();
+}
+
+TEST(WorkloadCache, RacingThreadsBuildOnce)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+
+    constexpr size_t kThreads = 4;
+    std::vector<trace::Workload> got(kThreads);
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> pool;
+    for (size_t t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) {
+            }
+            got[t] = cache.workload("mcf", 5);
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+
+    for (size_t t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(got[t].program.get(), got[0].program.get());
+        EXPECT_EQ(got[t].traces.get(), got[0].traces.get());
+    }
+    const auto s = cache.stats();
+    EXPECT_EQ(s.workloadsBuilt, 1u);
+    EXPECT_EQ(s.workloadsShared, kThreads - 1);
+    EXPECT_EQ(s.programsCompiled, 1u);
+    cache.reset();
+}
+
+TEST(WorkloadCache, ResetDropsProgramsAndTraces)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+
+    auto held = cache.workload("gzip", 3);
+    std::weak_ptr<const SyntheticProgram> program = held.program;
+    std::weak_ptr<const trace::ProgramTraces> traces = held.traces;
+
+    // A live holder keeps its workload through a reset, and the
+    // next request builds a fresh one.
+    cache.reset();
+    EXPECT_FALSE(program.expired());
+    EXPECT_EQ(held.program->seed(), 3u);
+    auto rebuilt = cache.workload("gzip", 3);
+    EXPECT_NE(rebuilt.program.get(), held.program.get());
+    EXPECT_EQ(cache.stats().workloadsBuilt, 1u);
+    held = {};
+    EXPECT_TRUE(program.expired());
+    EXPECT_TRUE(traces.expired());
+
+    // Without an outside holder, reset frees both.
+    std::weak_ptr<const SyntheticProgram> program2 = rebuilt.program;
+    std::weak_ptr<const trace::ProgramTraces> traces2 = rebuilt.traces;
+    rebuilt = {};
+    EXPECT_FALSE(program2.expired()); // the cache still holds them
+    EXPECT_FALSE(traces2.expired());
+    cache.reset();
+    EXPECT_TRUE(program2.expired());
+    EXPECT_TRUE(traces2.expired());
+    EXPECT_EQ(cache.stats().workloadsBuilt, 0u);
 }
 
 /**
