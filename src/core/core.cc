@@ -103,12 +103,10 @@ OutOfOrderCore::OutOfOrderCore(
     // the heap: a squash frees at most one dest per ROB slot.
     freedScratch.reserve(cfg.robSize);
 
-    // Map-node pool for rename checkpoints: pre-fill to the
-    // checkpoint-capacity bound so the first time the in-flight
-    // branch count hits a new high-water mark (possibly deep into
-    // measurement) createCheckpoint still reuses a node instead of
-    // allocating.
-    rn.reserveCheckpointNodes(cfg.ckptPoolSize());
+    // Only renamed branches hold rename checkpoints, so the ROB bounds
+    // their live count; reserving it keeps createCheckpoint
+    // allocation-free at any new high-water mark.
+    rn.reserveCheckpoints(cfg.robSize);
 
     // One arch-undo record per in-flight dest-writer bounds the
     // journals' live spans; size for that plus the dead prefix the

@@ -7,11 +7,11 @@ namespace pri::rename
 
 FreeList::FreeList(unsigned num_phys_regs,
                    unsigned initially_allocated)
-    : total(num_phys_regs), allocated(num_phys_regs, false)
+    : total(num_phys_regs), allocated(num_phys_regs, 0)
 {
     PRI_ASSERT(initially_allocated <= num_phys_regs);
     for (unsigned p = 0; p < initially_allocated; ++p)
-        allocated[p] = true;
+        allocated[p] = 1;
     allocatedCount = initially_allocated;
     // Stack order: highest-numbered register allocated first; order
     // is irrelevant to correctness.
@@ -27,7 +27,7 @@ FreeList::allocate()
     const isa::PhysRegId p = freeStack.back();
     freeStack.pop_back();
     PRI_ASSERT(!allocated[p]);
-    allocated[p] = true;
+    allocated[p] = 1;
     ++allocatedCount;
     return p;
 }
@@ -40,7 +40,7 @@ FreeList::free(isa::PhysRegId preg)
         ++nDuplicate;
         return false;
     }
-    allocated[preg] = false;
+    allocated[preg] = 0;
     --allocatedCount;
     freeStack.push_back(preg);
     return true;
@@ -50,7 +50,7 @@ bool
 FreeList::isAllocated(isa::PhysRegId preg) const
 {
     PRI_ASSERT(preg < total);
-    return allocated[preg];
+    return allocated[preg] != 0;
 }
 
 } // namespace pri::rename

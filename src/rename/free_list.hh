@@ -63,7 +63,7 @@ class FreeList
   private:
     unsigned total;
     std::vector<isa::PhysRegId> freeStack;
-    std::vector<bool> allocated;
+    std::vector<uint8_t> allocated; ///< one byte per register
     unsigned allocatedCount = 0;
     uint64_t nDuplicate = 0;
 };

@@ -1,6 +1,7 @@
 #include "rename_unit.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bitutils.hh"
 #include "common/hashing.hh"
@@ -168,8 +169,9 @@ RenameUnit::RenameUnit(const RenameConfig &config, StatGroup &sg)
         for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i) {
             auto &info = st->pregs[i];
             info.complete = true;
-            info.mappedBy = static_cast<int16_t>(i);
             info.holdsStorage = true;
+            st->setMappedBy(static_cast<isa::PhysRegId>(i),
+                            static_cast<int16_t>(i));
         }
         st->storageUsed = isa::kNumLogicalRegs;
     }
@@ -193,6 +195,17 @@ const RenameUnit::ClassState &
 RenameUnit::state(isa::RegClass cls) const
 {
     return cls == isa::RegClass::Int ? intState : fpState;
+}
+
+void
+RenameUnit::ClassState::setMappedBy(isa::PhysRegId p, int16_t logical)
+{
+    pregs[p].mappedBy = logical;
+    const uint64_t bit = uint64_t{1} << (p % 64);
+    if (logical < 0 && freeList.isAllocated(p))
+        unmapped[p / 64] |= bit;
+    else
+        unmapped[p / 64] &= ~bit;
 }
 
 bool
@@ -270,7 +283,7 @@ RenameUnit::renameDest(isa::RegId dst, uint64_t future_value)
         // The ER "unmap" event: the old register is no longer the
         // current mapping. Record the checkpoint horizon it must
         // outlive before ER may free it.
-        prev_info.mappedBy = -1;
+        st.setMappedBy(out.prev.preg, -1);
         prev_info.erUnmapWatermark = nextCkptId - 1;
     }
 
@@ -288,12 +301,12 @@ RenameUnit::renameDest(isa::RegId dst, uint64_t future_value)
     info.complete = false;
     info.pendingNarrowFree = false;
     info.pendingCommitFree = false;
-    info.mappedBy = static_cast<int16_t>(dst.idx);
+    st.setMappedBy(p, static_cast<int16_t>(dst.idx));
     info.allocCycle = now;
     info.writeCycle = 0;
     info.lastReadCycle = 0;
     info.everRead = false;
-    PRI_ASSERT(info.ckptRefs == 0);
+    PRI_ASSERT(st.ckptRefs[p] == 0);
 
     out.preg = p;
     out.gen = info.gen;
@@ -306,78 +319,65 @@ RenameUnit::renameDest(isa::RegId dst, uint64_t future_value)
     return out;
 }
 
+RenameUnit::Checkpoint &
+RenameUnit::liveCkpt(size_t k)
+{
+    const size_t i = ckptHead + k;
+    return ckptRing[i < ckptRing.size() ? i : i - ckptRing.size()];
+}
+
 CkptId
 RenameUnit::createCheckpoint()
 {
-    const CkptId id = nextCkptId++;
-    if (!ckptNodePool.empty()) {
-        auto node = std::move(ckptNodePool.back());
-        ckptNodePool.pop_back();
-        node.key() = id;
-        Checkpoint &c = node.mapped();
-        c.intMap = intState.map.copy();
-        c.fpMap = fpState.map.copy();
-        c.resolved = false;
-        if (useCkptRefs())
-            takeCkptRefs(c, +1);
-        const auto res = ckpts.insert(std::move(node));
-        ckptSeq_.emplace_back(id, &res.position->second);
-    } else {
-        Checkpoint c;
-        c.intMap = intState.map.copy();
-        c.fpMap = fpState.map.copy();
-        if (useCkptRefs())
-            takeCkptRefs(c, +1);
-        const auto it = ckpts.emplace(id, std::move(c)).first;
-        ckptSeq_.emplace_back(id, &it->second);
+    if (ckptCount == ckptRing.size()) {
+        // New high-water mark: unwrap the ring so the live run starts
+        // at slot 0, then construct one more slot after it.
+        std::rotate(ckptRing.begin(),
+                    ckptRing.begin() + static_cast<ptrdiff_t>(ckptHead),
+                    ckptRing.end());
+        ckptHead = 0;
+        ckptRing.emplace_back();
     }
+    Checkpoint &c = liveCkpt(ckptCount++);
+    c.id = nextCkptId++;
+    c.resolved = false;
+    c.intMap = intState.map.raw();
+    c.fpMap = fpState.map.raw();
+    if (useCkptRefs())
+        takeCkptRefs(c, +1);
     ++stats.checkpointsCreated;
-    return id;
+    return c.id;
 }
 
 void
-RenameUnit::reserveCheckpointNodes(unsigned n)
+RenameUnit::reserveCheckpoints(unsigned n)
 {
-    PRI_ASSERT(ckpts.empty(),
+    PRI_ASSERT(ckptRing.empty(),
                "reserve before any checkpoints exist");
-    ckptSeq_.reserve(n);
-    while (ckptNodePool.size() < n) {
-        // Temporary keys only: reused nodes get their key
-        // rewritten in createCheckpoint, so ids stay untouched.
-        const CkptId key =
-            static_cast<CkptId>(ckptNodePool.size());
-        ckptNodePool.push_back(
-            ckpts.extract(ckpts.emplace(key, Checkpoint{}).first));
-    }
-}
-
-void
-RenameUnit::recycleCkptNode(
-    std::map<CkptId, Checkpoint>::iterator it)
-{
-    const CkptId id = it->first;
-    const auto seq = std::lower_bound(
-        ckptSeq_.begin(), ckptSeq_.end(), id,
-        [](const auto &e, CkptId v) { return e.first < v; });
-    PRI_ASSERT(seq != ckptSeq_.end() && seq->first == id,
-               "checkpoint missing from the id-ordered mirror");
-    ckptSeq_.erase(seq);
-    ckptNodePool.push_back(ckpts.extract(it));
+    ckptRing.reserve(n);
 }
 
 void
 RenameUnit::takeCkptRefs(const Checkpoint &c, int delta)
 {
+    // Every entry of the copy, not only those changed since the
+    // previous checkpoint: a map or checkpoint strike can rewrite
+    // any of them. A count still above zero blocks tryFree, so only
+    // a drop to zero (or below, after a strike) can free.
+    int *const int_refs = intState.ckptRefs.data();
+    int *const fp_refs = fpState.ckptRefs.data();
     for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i) {
         if (!c.intMap[i].imm) {
-            intState.pregs[c.intMap[i].preg].ckptRefs += delta;
-            if (delta < 0)
-                tryFree(isa::RegClass::Int, c.intMap[i].preg);
+            const isa::PhysRegId p = c.intMap[i].preg;
+            int_refs[p] += delta;
+            if (delta < 0 && int_refs[p] <= 0)
+                tryFree(isa::RegClass::Int, p);
         }
         if (!c.fpMap[i].imm) {
-            fpState.pregs[c.fpMap[i].preg].ckptRefs += delta;
-            if (delta < 0)
-                tryFree(isa::RegClass::Fp, c.fpMap[i].preg);
+            const isa::PhysRegId p = c.fpMap[i].preg;
+            fp_refs[p] += delta;
+            if (delta < 0 && fp_refs[p] <= 0)
+                tryFree(isa::RegClass::Fp, p);
         }
     }
 }
@@ -385,53 +385,75 @@ RenameUnit::takeCkptRefs(const Checkpoint &c, int delta)
 bool
 RenameUnit::erCkptHorizonClear(uint64_t watermark) const
 {
-    return ckpts.empty() || ckpts.begin()->first > watermark;
+    return ckptCount == 0 || ckptRing[ckptHead].id > watermark;
 }
 
 void
 RenameUnit::sweepErFrees()
 {
+    // Ascending index, INT before FP: free order decides the next
+    // allocation. Only allocated, unmapped registers can pass
+    // tryFree, and freeing one clears no other candidate's bit.
     for (auto cls : {isa::RegClass::Int, isa::RegClass::Fp}) {
-        const auto n = state(cls).pregs.size();
-        for (unsigned p = 0; p < n; ++p)
-            tryFree(cls, static_cast<isa::PhysRegId>(p));
+        const auto &words = state(cls).unmapped;
+        for (size_t w = 0; w < words.size(); ++w) {
+            for (uint64_t bits = words[w]; bits != 0;
+                 bits &= bits - 1) {
+                tryFree(cls, static_cast<isa::PhysRegId>(
+                                 w * 64 + std::countr_zero(bits)));
+            }
+        }
     }
 }
 
 void
 RenameUnit::resolveCheckpoint(CkptId id)
 {
-    auto it = ckpts.find(id);
-    PRI_ASSERT(it != ckpts.end(), "resolve of unknown checkpoint");
-    PRI_ASSERT(!it->second.resolved, "checkpoint resolved twice");
-    it->second.resolved = true;
+    // Squashes leave gaps in the ids, which rise with age: binary
+    // search the live run.
+    size_t lo = 0;
+    size_t hi = ckptCount;
+    while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (liveCkpt(mid).id < id)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    PRI_ASSERT(lo < ckptCount && liveCkpt(lo).id == id,
+               "resolve of unknown checkpoint");
+    Checkpoint &c = liveCkpt(lo);
+    PRI_ASSERT(!c.resolved, "checkpoint resolved twice");
+    c.resolved = true;
     if (useCkptRefs())
-        takeCkptRefs(it->second, -1);
+        takeCkptRefs(c, -1);
 }
 
 void
 RenameUnit::releaseCheckpoint(CkptId id)
 {
-    auto it = ckpts.find(id);
-    PRI_ASSERT(it != ckpts.end(), "release of unknown checkpoint");
-    PRI_ASSERT(it->second.resolved,
+    PRI_ASSERT(ckptCount > 0 && liveCkpt(0).id == id,
+               "release of a checkpoint that is not the oldest");
+    PRI_ASSERT(liveCkpt(0).resolved,
                "checkpoint committed before the branch resolved");
-    const bool was_oldest = it == ckpts.begin();
-    recycleCkptNode(it);
-    if (cfg.earlyRelease && was_oldest)
+    ckptHead = ckptHead + 1 == ckptRing.size() ? 0 : ckptHead + 1;
+    --ckptCount;
+    if (cfg.earlyRelease)
         sweepErFrees();
 }
 
 void
 RenameUnit::discardCheckpoint(CkptId id)
 {
-    auto it = ckpts.find(id);
-    PRI_ASSERT(it != ckpts.end(), "discard of unknown checkpoint");
-    if (useCkptRefs() && !it->second.resolved)
-        takeCkptRefs(it->second, -1);
-    const bool was_oldest = it == ckpts.begin();
-    recycleCkptNode(it);
-    if (cfg.earlyRelease && was_oldest)
+    PRI_ASSERT(ckptCount > 0 && liveCkpt(ckptCount - 1).id == id,
+               "discard of a checkpoint that is not the youngest");
+    // References drop while the checkpoint still holds the ER
+    // horizon, as tryFree expects.
+    const Checkpoint &c = liveCkpt(ckptCount - 1);
+    if (useCkptRefs() && !c.resolved)
+        takeCkptRefs(c, -1);
+    --ckptCount;
+    if (cfg.earlyRelease && ckptCount == 0)
         sweepErFrees();
     ++stats.checkpointsSquashed;
 }
@@ -439,11 +461,11 @@ RenameUnit::discardCheckpoint(CkptId id)
 void
 RenameUnit::restoreCheckpoint(CkptId id)
 {
-    auto it = ckpts.find(id);
-    PRI_ASSERT(it != ckpts.end(), "restore of unknown checkpoint");
-    PRI_ASSERT(!it->second.resolved,
-               "restore of an already-resolved checkpoint");
-    const Checkpoint &c = it->second;
+    // Recovery squashed every younger branch first.
+    PRI_ASSERT(ckptCount > 0 && liveCkpt(ckptCount - 1).id == id,
+               "restore of a checkpoint that is not the youngest");
+    const Checkpoint &c = liveCkpt(ckptCount - 1);
+    PRI_ASSERT(!c.resolved, "restore of an already-resolved checkpoint");
 
     for (auto cls : {isa::RegClass::Int, isa::RegClass::Fp}) {
         auto &st = state(cls);
@@ -454,7 +476,7 @@ RenameUnit::restoreCheckpoint(CkptId id)
         for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i) {
             const MapEntry &cur = st.map.read(i);
             if (!cur.imm)
-                st.pregs[cur.preg].mappedBy = -1;
+                st.setMappedBy(cur.preg, -1);
         }
         // Install the checkpointed mappings. A register that was
         // already inlined-and-armed for freeing is restored in
@@ -470,7 +492,7 @@ RenameUnit::restoreCheckpoint(CkptId id)
                     PRI_ASSERT(info.complete);
                     e = MapEntry::makeImm(info.value);
                 } else {
-                    info.mappedBy = static_cast<int16_t>(i);
+                    st.setMappedBy(e.preg, static_cast<int16_t>(i));
                 }
             }
             st.map.write(i, e);
@@ -547,7 +569,7 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
             if (!cfg.injectFreeWithoutInline) {
                 st.map.write(dst.idx, MapEntry::makeImm(value));
             }
-            info.mappedBy = -1;
+            st.setMappedBy(preg, -1);
             info.erUnmapWatermark = nextCkptId - 1;
             ++stats.inlinedCurrentMap;
         } else {
@@ -557,15 +579,15 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
         // Lazy scheme: walk every checkpointed copy and apply the
         // same check-and-update (Figure 7 "More checkpoints?" loop).
         if (cfg.lazyCkptUpdate) {
-            for (auto &[id, cp] : ckptSeq_) {
-                Checkpoint &c = *cp;
+            for (size_t k = 0; k < ckptCount; ++k) {
+                Checkpoint &c = liveCkpt(k);
                 auto &snap = dst.cls == isa::RegClass::Int
                     ? c.intMap : c.fpMap;
                 MapEntry &e = snap[dst.idx];
                 if (!e.imm && e.preg == preg) {
                     if (useCkptRefs() && !c.resolved) {
-                        PRI_ASSERT(info.ckptRefs > 0);
-                        info.ckptRefs -= 1;
+                        PRI_ASSERT(st.ckptRefs[preg] > 0);
+                        st.ckptRefs[preg] -= 1;
                     }
                     e = MapEntry::makeImm(value);
                     ++stats.lazyCkptUpdates;
@@ -639,8 +661,8 @@ RenameUnit::commitDest(isa::RegClass cls, const MapEntry &prev,
     info.pendingCommitFree = true;
     tryFree(cls, prev.preg);
     PRI_ASSERT(!st.freeList.isAllocated(prev.preg) ||
-                   info.ckptRefs > 0 || info.consumerRefs > 0 ||
-                   info.mappedBy >= 0,
+                   st.ckptRefs[prev.preg] > 0 ||
+                   info.consumerRefs > 0 || info.mappedBy >= 0,
                "commit-time free unexpectedly blocked");
 }
 
@@ -659,7 +681,7 @@ RenameUnit::squashDest(isa::RegClass cls, isa::PhysRegId preg,
                "squashed register still mapped after restore");
     PRI_ASSERT(info.consumerRefs == 0,
                "squashed register still has consumers");
-    PRI_ASSERT(info.ckptRefs == 0,
+    PRI_ASSERT(st.ckptRefs[preg] == 0,
                "squashed register referenced by a live checkpoint");
     doFree(cls, preg, /*squashed=*/true);
 }
@@ -673,7 +695,7 @@ RenameUnit::tryFree(isa::RegClass cls, isa::PhysRegId p)
     auto &info = st.pregs[p];
     if (info.mappedBy >= 0)
         return;
-    if (info.ckptRefs > 0)
+    if (st.ckptRefs[p] > 0)
         return;
     if (info.consumerRefs > 0)
         return;
@@ -736,6 +758,7 @@ RenameUnit::doFree(isa::RegClass cls, isa::PhysRegId p,
     }
     const bool freed = st.freeList.free(p);
     PRI_ASSERT(freed, "double free must be filtered before doFree");
+    st.unmapped[p / 64] &= ~(uint64_t{1} << (p % 64));
     ++stats.frees;
 }
 
@@ -784,7 +807,7 @@ RenameUnit::consumerRefs(isa::RegClass cls, isa::PhysRegId p) const
 int
 RenameUnit::ckptRefs(isa::RegClass cls, isa::PhysRegId p) const
 {
-    return state(cls).pregs.at(p).ckptRefs;
+    return state(cls).ckptRefs.at(p);
 }
 
 namespace
@@ -919,11 +942,11 @@ RenameUnit::applyFault(const faults::FaultSpec &spec, uint64_t rnd)
         return false;
 
       case FaultSite::CkptNode: {
-        if (ckptSeq_.empty())
+        if (ckptCount == 0)
             return false;
         const size_t k = static_cast<size_t>(
-            hashRange(ckptSeq_.size(), rnd, 0x636b70ULL));
-        Checkpoint &c = *ckptSeq_[k].second;
+            hashRange(ckptCount, rnd, 0x636b70ULL));
+        Checkpoint &c = liveCkpt(k);
         RamMapTable::Table &t = first == isa::RegClass::Int
             ? c.intMap
             : c.fpMap;
@@ -961,7 +984,7 @@ RenameUnit::checkInvariants() const
         for (unsigned p = 0; p < st.pregs.size(); ++p) {
             const auto &info = st.pregs[p];
             PRI_ASSERT(info.consumerRefs >= 0);
-            PRI_ASSERT(info.ckptRefs >= 0);
+            PRI_ASSERT(st.ckptRefs[p] >= 0);
             if (info.mappedBy >= 0)
                 ++mapped_by;
             if (!st.freeList.isAllocated(

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -224,13 +223,13 @@ class RenameUnit
     CkptId createCheckpoint();
 
     /**
-     * Pre-fill the checkpoint node pool so createCheckpoint never
-     * allocates, even the first time the in-flight branch count
-     * reaches a new high-water mark. Call once, before renaming
-     * starts, with an upper bound on simultaneously live
-     * checkpoints (the core passes its checkpoint-pool capacity).
+     * Reserve room for @p n simultaneously live checkpoints so
+     * createCheckpoint never allocates, even the first time the
+     * in-flight branch count reaches a new high-water mark. Call
+     * once, before renaming starts. Only renamed branches hold
+     * rename checkpoints, so the core passes its ROB size.
      */
-    void reserveCheckpointNodes(unsigned n);
+    void reserveCheckpoints(unsigned n);
 
     /**
      * Branch resolved (correctly or not): the shadow map can no
@@ -243,7 +242,8 @@ class RenameUnit
      */
     void resolveCheckpoint(CkptId id);
 
-    /** Branch committed: drop the checkpoint entirely. */
+    /** Branch committed: drop the checkpoint entirely. Branches
+     *  commit in order, so @p id must be the oldest live one. */
     void releaseCheckpoint(CkptId id);
 
     /**
@@ -254,7 +254,9 @@ class RenameUnit
      */
     void restoreCheckpoint(CkptId id);
 
-    /** Squashed younger branch: drop checkpoint and references. */
+    /** Squashed younger branch: drop checkpoint and references.
+     *  Squashes unwind youngest first, so @p id must be the
+     *  youngest live one. */
     void discardCheckpoint(CkptId id);
 
     // ---- consumer side ----
@@ -319,7 +321,7 @@ class RenameUnit
     bool isAllocated(isa::RegClass cls, isa::PhysRegId p) const;
     int consumerRefs(isa::RegClass cls, isa::PhysRegId p) const;
     int ckptRefs(isa::RegClass cls, isa::PhysRegId p) const;
-    size_t liveCheckpoints() const { return ckpts.size(); }
+    size_t liveCheckpoints() const { return ckptCount; }
 
     /** Check internal invariants; panics on violation. */
     void checkInvariants() const;
@@ -341,26 +343,28 @@ class RenameUnit
     bool applyFault(const faults::FaultSpec &spec, uint64_t rnd);
 
   private:
+    /** One physical register's scoreboard: 64 bytes, a cache line. */
     struct PregInfo
     {
         uint64_t value = 0;       ///< functional register contents
         uint64_t gen = 0;         ///< allocation generation
-        int consumerRefs = 0;     ///< renamed-but-not-done consumers
-        int ckptRefs = 0;         ///< unresolved checkpoints naming this
         /** Id of the youngest checkpoint taken while this register
          *  was still the current mapping. ER may free only once
          *  every checkpoint up to this id has died (the "unmapped in
          *  all checkpointed copies" condition at commit horizon). */
         uint64_t erUnmapWatermark = 0;
-        int16_t mappedBy = -1;    ///< logical reg (flat) or -1
-        bool complete = false;    ///< written back
-        bool pendingNarrowFree = false; ///< PRI early-free armed
-        bool pendingCommitFree = false; ///< redefiner committed
-        bool holdsStorage = false; ///< VP: claimed physical storage
         // lifetime bookkeeping
         uint64_t allocCycle = 0;
         uint64_t writeCycle = 0;
         uint64_t lastReadCycle = 0;
+        int consumerRefs = 0;     ///< renamed-but-not-done consumers
+        /** Logical reg (per-class index) or -1. Written only through
+         *  ClassState::setMappedBy. */
+        int16_t mappedBy = -1;
+        bool complete = false;    ///< written back
+        bool pendingNarrowFree = false; ///< PRI early-free armed
+        bool pendingCommitFree = false; ///< redefiner committed
+        bool holdsStorage = false; ///< VP: claimed physical storage
         bool everRead = false;
     };
 
@@ -369,19 +373,33 @@ class RenameUnit
         RamMapTable map;
         FreeList freeList;
         std::vector<PregInfo> pregs;
+        /** Unresolved checkpoints naming each register, kept apart
+         *  from pregs so the per-checkpoint walk touches one int per
+         *  map entry. */
+        std::vector<int> ckptRefs;
+        /** Bit p set iff p is allocated and not the current mapping:
+         *  the only registers tryFree can free without a map or
+         *  reference change, i.e. the ER sweep's candidates. */
+        std::vector<uint64_t> unmapped;
         unsigned storageUsed = 0; ///< VP: written live values
 
         ClassState(unsigned num_phys, unsigned num_arch)
-            : freeList(num_phys, num_arch), pregs(num_phys)
+            : freeList(num_phys, num_arch), pregs(num_phys),
+              ckptRefs(num_phys, 0), unmapped((num_phys + 63) / 64, 0)
         {
         }
+
+        /** Set @p p's current mapping (-1: none), keeping the
+         *  unmapped bitmap in step. */
+        void setMappedBy(isa::PhysRegId p, int16_t logical);
     };
 
     struct Checkpoint
     {
+        CkptId id = 0;
+        bool resolved = false;
         RamMapTable::Table intMap;
         RamMapTable::Table fpMap;
-        bool resolved = false;
     };
 
     ClassState &state(isa::RegClass cls);
@@ -407,31 +425,24 @@ class RenameUnit
     /** True when every checkpoint up to @p watermark has died. */
     bool erCkptHorizonClear(uint64_t watermark) const;
 
-    /** Retire a checkpoint's map node into the recycling pool. */
-    void recycleCkptNode(std::map<CkptId, Checkpoint>::iterator it);
+    /** The @p k-th oldest live checkpoint. */
+    Checkpoint &liveCkpt(size_t k);
 
     RenameConfig cfg;
     RenameStats stats;
     ClassState intState;
     ClassState fpState;
-    std::map<CkptId, Checkpoint> ckpts;
     /**
-     * Extracted map nodes awaiting reuse. Checkpoints churn once per
-     * branch; recycling the nodes (C++17 node handles, rekeyed on
-     * reuse) makes the steady state allocation-free while keeping
-     * std::map's ordered iteration and lookups untouched.
+     * Live checkpoints as a ring in age order: the oldest at slot
+     * ckptHead, ckptCount of them. Ids rise with age and are never
+     * reused (ER watermarks compare against them). Branches commit
+     * oldest first and squash youngest first, so a checkpoint only
+     * ever leaves from one of the two ends. Slots are constructed
+     * only at a new high-water mark of the live count.
      */
-    std::vector<std::map<CkptId, Checkpoint>::node_type> ckptNodePool;
-    /**
-     * Live checkpoints in id (age) order, as stable pointers into
-     * the map's nodes. The lazy-update walk in writeback visits
-     * every live checkpoint once per narrow result, which makes
-     * tree iteration the hot loop; this flat mirror turns it into
-     * a cache-friendly array scan. Maintained by createCheckpoint
-     * and recycleCkptNode; ids are monotone, so creation appends
-     * in sorted order.
-     */
-    std::vector<std::pair<CkptId, Checkpoint *>> ckptSeq_;
+    std::vector<Checkpoint> ckptRing;
+    size_t ckptHead = 0;
+    size_t ckptCount = 0;
     CkptId nextCkptId = 1;
     IdealInlineHook idealHook;
     uint64_t now = 0;

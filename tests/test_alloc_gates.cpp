@@ -10,12 +10,19 @@
  *     2-port budget adds no allocation over the unlimited leg;
  *  3. branch recovery (gcc, the branchiest profile): no allocation
  *     while checkpoints are taken and restored through the pool;
- *  4. the traced walker's replay loop: no allocation.
+ *  4. the checkpoint bookkeeping of the other schemes on gcc: the
+ *     reference walk (PRI-refcount+ckptcount), the Early Release
+ *     sweep (ER) and the lazy copy walk (PRI-refcount+lazy);
+ *  5. the rename checkpoint ring, once reserved: filling, wrapping
+ *     and growing it to robSize live checkpoints allocates nothing;
+ *  6. the traced walker's replay loop: no allocation.
  *
- * A fifth gate bounds the bytes one core allocates at construction,
- * so no per-cycle structure can buy its zero-allocation steady state
- * with a worst-case reservation again (the event wheel once held
- * 1024 x robSize event slots: 8 MiB per 8-wide core).
+ * A last gate bounds what one core allocates at construction, in
+ * bytes and in calls, so no per-cycle structure can buy its
+ * zero-allocation steady state with a worst-case reservation again
+ * (the event wheel once held 1024 x robSize event slots: 8 MiB per
+ * 8-wide core), and no per-checkpoint prefill can come back (one
+ * node per checkpoint slot once made 722 calls per 8-wide core).
  *
  * Each window is a pure delta of the counters, so background
  * allocations outside it (program build, trace compile, gtest
@@ -28,6 +35,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/core.hh"
 #include "workload/program.hh"
@@ -191,6 +199,49 @@ TEST(AllocGates, CheckpointRecoverySteadyState)
     EXPECT_EQ(w.allocs, 0u);
 }
 
+TEST(AllocGates, CheckpointBookkeepingSteadyState)
+{
+    const unsigned bits = core::CoreConfig::narrowBitsForWidth(4);
+    const rename::RenameConfig schemes[] = {
+        rename::RenameConfig::priRefcountCkptcount(64, bits),
+        rename::RenameConfig::er(64, bits),
+        rename::RenameConfig::priRefcountLazy(64, bits),
+    };
+    for (const auto &rn : schemes) {
+        SCOPED_TRACE(rn.schemeName());
+        const Window w = measureCore("gcc", rn);
+        EXPECT_GT(w.ckptsRestored, 0.0) << "no branch recovery measured";
+        EXPECT_EQ(w.allocs, 0u);
+    }
+}
+
+TEST(AllocGates, CheckpointRingReservedUpFront)
+{
+    // The core reserves one rename checkpoint per ROB entry before
+    // renaming starts. Half-fill the ring, retire its oldest quarter,
+    // then wrap and grow it to that bound: no step may allocate, not
+    // even a new high-water mark reached while wrapped.
+    const auto cfg = core::CoreConfig::fourWide(
+        rename::RenameConfig::priRefcountCkptcount(
+            64, core::CoreConfig::narrowBitsForWidth(4)));
+    StatGroup stats;
+    rename::RenameUnit rn(cfg.rename, stats);
+    rn.reserveCheckpoints(cfg.robSize);
+    std::vector<rename::CkptId> ids;
+    ids.reserve(2 * cfg.robSize);
+
+    const uint64_t a0 = allocs();
+    while (rn.liveCheckpoints() < cfg.robSize / 2)
+        ids.push_back(rn.createCheckpoint());
+    for (size_t i = 0; i < cfg.robSize / 4; ++i) {
+        rn.resolveCheckpoint(ids[i]);
+        rn.releaseCheckpoint(ids[i]);
+    }
+    while (rn.liveCheckpoints() < cfg.robSize)
+        ids.push_back(rn.createCheckpoint());
+    EXPECT_EQ(allocs() - a0, 0u);
+}
+
 TEST(AllocGates, WalkerReplaySteadyState)
 {
     workload::SyntheticProgram program(workload::profileByName("gcc"),
@@ -228,13 +279,18 @@ TEST(AllocGates, CoreConstructionFootprint)
         rename::RenameConfig::base(
             64, core::CoreConfig::narrowBitsForWidth(8)));
     StatGroup stats;
+    const uint64_t a0 = allocs();
     const uint64_t b0 = g_bytes.load(std::memory_order_relaxed);
     core::OutOfOrderCore cpu(cfg, program, stats, traces);
+    const uint64_t calls = allocs() - a0;
     const uint64_t bytes = g_bytes.load(std::memory_order_relaxed) - b0;
-    // About 1.3 MiB today (caches, predictor, ROB); the bound leaves
+    // About 1.2 MiB today (caches, predictor, ROB); the bound leaves
     // headroom for growth but not for a reservation per wheel bucket.
     EXPECT_LT(bytes, uint64_t{4} << 20)
         << "an 8-wide core allocates " << bytes << " bytes";
+    // About 180 calls today: one per structure, none per slot.
+    EXPECT_LE(calls, 256u)
+        << "an 8-wide core makes " << calls << " allocations";
 }
 
 } // namespace

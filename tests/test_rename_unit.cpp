@@ -3,15 +3,18 @@
  * Unit tests for the register-management policy engine: PRI inlining
  * with the Figure 7 WAW check, WAR avoidance via consumer reference
  * counting and via ideal payload rewrite, checkpoint counting vs
- * lazy checkpoint update, Early Release, and squash recovery.
+ * lazy checkpoint update, Early Release, squash recovery, and the
+ * age-ordered checkpoint ring.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <deque>
 #include <vector>
 
+#include "common/logging.hh"
 #include "rename/rename_unit.hh"
 
 namespace pri::rename
@@ -461,6 +464,137 @@ TEST(RenameUnitGen, CommitFreeOfReallocatedRegisterIsIgnored)
     EXPECT_TRUE(rn.isAllocated(RegClass::Int, p.preg));
     EXPECT_GT(h.stats.scalarValue("rename.duplicateCommitFrees"),
               0.0);
+    rn.checkInvariants();
+}
+
+TEST(RenameUnitRing, WrapsThenGrowsAndResolvesOutOfOrder)
+{
+    // Each branch follows its own redefinition of r1, so exactly one
+    // live checkpoint names each d[k] and its reference count shows
+    // which checkpoint a resolve reached.
+    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    auto &rn = h.rn;
+    std::vector<RenameUnit::DestRename> d;
+    std::vector<CkptId> ck;
+    const auto branch = [&] {
+        d.push_back(rn.renameDest(intReg(1), 1000 + d.size()));
+        ck.push_back(rn.createCheckpoint());
+    };
+    const auto refs = [&](size_t k) {
+        return rn.ckptRefs(RegClass::Int, d[k].preg);
+    };
+
+    branch(); // A
+    branch(); // B
+    branch(); // C: three slots, all live
+    rn.resolveCheckpoint(ck[0]);
+    rn.releaseCheckpoint(ck[0]);
+    branch(); // D reuses A's slot: the ring has wrapped
+    EXPECT_EQ(rn.liveCheckpoints(), 3u);
+
+    rn.resolveCheckpoint(ck[3]); // youngest, in the first slot
+    EXPECT_EQ(refs(3), 0);
+    EXPECT_EQ(refs(1), 1);
+    EXPECT_EQ(refs(2), 1);
+
+    branch(); // E: a new high-water mark while wrapped
+    EXPECT_EQ(rn.liveCheckpoints(), 4u);
+    rn.resolveCheckpoint(ck[2]);
+    EXPECT_EQ(refs(2), 0);
+    EXPECT_EQ(refs(1), 1);
+    EXPECT_EQ(refs(4), 1);
+    rn.resolveCheckpoint(ck[4]);
+    EXPECT_EQ(refs(4), 0);
+    rn.resolveCheckpoint(ck[1]);
+    EXPECT_EQ(refs(1), 0);
+
+    for (size_t k = 1; k < ck.size(); ++k) {
+        rn.releaseCheckpoint(ck[k]);
+        EXPECT_EQ(rn.liveCheckpoints(), ck.size() - 1 - k);
+    }
+    rn.checkInvariants();
+}
+
+TEST(RenameUnitRing, LazyWritebackAfterWrapRewritesEveryCopy)
+{
+    Harness h(RenameConfig::priRefcountLazy(kPregs, 7));
+    auto &rn = h.rn;
+    auto p = rn.renameDest(intReg(2), 5); // narrow, not yet written
+    const CkptId a = rn.createCheckpoint();
+    const CkptId b = rn.createCheckpoint();
+    const CkptId c = rn.createCheckpoint();
+    rn.resolveCheckpoint(a);
+    rn.releaseCheckpoint(a);
+    const CkptId d = rn.createCheckpoint(); // wraps into A's slot
+
+    rn.writeback(intReg(2), p.preg, p.gen, 5);
+    EXPECT_EQ(h.stats.scalarValue("pri.lazyCkptUpdates"), 3.0);
+    EXPECT_FALSE(rn.isAllocated(RegClass::Int, p.preg));
+
+    // Recover to the youngest copy, then squash back to the oldest.
+    rn.restoreCheckpoint(d);
+    EXPECT_TRUE(rn.mapEntry(intReg(2)).imm);
+    rn.resolveCheckpoint(d);
+    rn.discardCheckpoint(d);
+    rn.discardCheckpoint(c);
+    rn.restoreCheckpoint(b);
+    const MapEntry &e = rn.mapEntry(intReg(2));
+    EXPECT_TRUE(e.imm);
+    EXPECT_EQ(e.value, 5u);
+    rn.resolveCheckpoint(b);
+    rn.releaseCheckpoint(b);
+    EXPECT_EQ(rn.liveCheckpoints(), 0u);
+    rn.checkInvariants();
+}
+
+TEST(RenameUnitRing, CheckpointsLeaveOnlyFromTheEnds)
+{
+    Harness h(RenameConfig::base(kPregs, 7));
+    auto &rn = h.rn;
+    const CkptId a = rn.createCheckpoint();
+    const CkptId b = rn.createCheckpoint();
+    const CkptId c = rn.createCheckpoint();
+    rn.resolveCheckpoint(a);
+    rn.resolveCheckpoint(b);
+    {
+        ScopedErrorCapture capture;
+        EXPECT_THROW(rn.releaseCheckpoint(b), PanicError); // not oldest
+        EXPECT_THROW(rn.discardCheckpoint(b), PanicError); // not youngest
+    }
+    ASSERT_EQ(rn.liveCheckpoints(), 3u);
+    rn.discardCheckpoint(c);
+    rn.releaseCheckpoint(a);
+    rn.releaseCheckpoint(b);
+    EXPECT_EQ(rn.liveCheckpoints(), 0u);
+}
+
+TEST(RenameUnitEr, ReleaseFreesUnmappedRegistersInIndexOrder)
+{
+    Harness h(RenameConfig::er(kPregs, 7));
+    auto &rn = h.rn;
+    std::vector<isa::PhysRegId> held;
+    for (uint8_t r : {3, 4, 5}) {
+        auto d = rn.renameDest(intReg(r), 1000 + r);
+        rn.writeback(intReg(r), d.preg, d.gen, 1000 + r);
+        held.push_back(d.preg);
+    }
+    const CkptId ck = rn.createCheckpoint(); // its copy names all three
+    for (uint8_t r : {3, 5, 4})              // unmap out of index order
+        rn.renameDest(intReg(r), 7);
+    rn.resolveCheckpoint(ck);
+    for (auto p : held)
+        EXPECT_TRUE(rn.isAllocated(RegClass::Int, p));
+
+    const double early0 = h.stats.scalarValue("er.earlyFrees");
+    rn.releaseCheckpoint(ck);
+    EXPECT_EQ(h.stats.scalarValue("er.earlyFrees") - early0, 3.0);
+
+    // The sweep frees in ascending index order and the free list is
+    // a stack, so the highest index comes back first. (Redefining r3
+    // unmaps only unwritten registers, which ER cannot free.)
+    std::sort(held.begin(), held.end());
+    for (auto it = held.rbegin(); it != held.rend(); ++it)
+        EXPECT_EQ(rn.renameDest(intReg(3), 1).preg, *it);
     rn.checkInvariants();
 }
 

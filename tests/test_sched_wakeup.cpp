@@ -15,8 +15,9 @@
  *
  * The configs cover the consumer-list wakeup and the ideal-PRI
  * inline rewrite (which walks those lists), a squash-heavy scheduler,
- * checkpoint restores on the branchiest profile, and the read-port
- * arbiter at binding budgets.
+ * checkpoint restores on the branchiest profile, every scheme whose
+ * frees wait on branch checkpoints, and the read-port arbiter at
+ * binding budgets.
  */
 
 #include <gtest/gtest.h>
@@ -101,17 +102,54 @@ TEST(EventWakeup, ReportByteIdenticalUnderSquashPressure)
 }
 
 /** 30k instructions of gcc with no warmup: thousands of checkpoints
- *  taken and restored through the pool and its undo journals. */
-TEST(TimingReference, CheckpointRecoveryMatchesPin)
+ *  taken, restored and retired. */
+RunParams
+checkpointRun(Scheme scheme, unsigned width = 4)
 {
     RunParams p;
     p.benchmark = "gcc";
-    p.scheme = Scheme::PriRefcountCkptcount;
+    p.scheme = scheme;
+    p.width = width;
     p.warmupInsts = 0;
     p.measureInsts = 30000;
     p.seed = 17;
     p.checkInvariants = true;
-    EXPECT_EQ(resultDigest(p), 0x5ee4c399ca1b5e51ULL);
+    return p;
+}
+
+/** Checkpoint restores through the pool and its undo journals. */
+TEST(TimingReference, CheckpointRecoveryMatchesPin)
+{
+    EXPECT_EQ(resultDigest(checkpointRun(Scheme::PriRefcountCkptcount)),
+              0x5ee4c399ca1b5e51ULL);
+}
+
+/** The schemes whose frees wait on checkpoints beyond the reference
+ *  counters: Early Release's commit-horizon sweep (alone, with PRI
+ *  and 8-wide), the ideal ckptcount flavour, and virtual-physical
+ *  renaming with and without PRI. */
+TEST(TimingReference, CheckpointSchemesMatchPin)
+{
+    struct Pin
+    {
+        Scheme scheme;
+        unsigned width;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {Scheme::EarlyRelease, 4, 0x2bf67fe9a3e61c24ULL},
+        {Scheme::PriPlusEr, 4, 0xba596eada25c283cULL},
+        {Scheme::PriIdealCkptcount, 4, 0x5b62649e4000f240ULL},
+        {Scheme::VirtualPhysical, 4, 0x5812b89e1e2b25afULL},
+        {Scheme::VirtualPhysicalPlusPri, 4, 0x426b1a7845e8ea53ULL},
+        {Scheme::EarlyRelease, 8, 0xf6a607a470014e3cULL},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(schemeName(pin.scheme)) + " " +
+                     std::to_string(pin.width) + "-wide");
+        EXPECT_EQ(resultDigest(checkpointRun(pin.scheme, pin.width)),
+                  pin.digest);
+    }
 }
 
 /** Binding read-port budgets on the 8-wide machine: the arbiter
