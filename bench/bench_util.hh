@@ -411,7 +411,9 @@ runOne(const std::string &bench, unsigned width, sim::Scheme scheme,
  * metrics, so future PRs can diff figure data mechanically; the
  * traceCache section reports the run's front-end trace compilation
  * and sharing statistics (machine-dependent only in that the op
- * counters scale with how much this invocation simulated).
+ * counters scale with how much this invocation simulated). Its
+ * traceBytes is what is resident when the file is written: 0 once
+ * every sweep has released its workloads.
  */
 inline void
 writeJson(const Options &opts)

@@ -36,10 +36,11 @@
  * count the warm-up.
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/hashing.hh"
@@ -52,6 +53,20 @@
 
 namespace
 {
+
+/** All of @p s as an unsigned decimal @p T (no sign, no trailing
+ *  text, no overflow), or a fatal naming @p flag. */
+template <typename T>
+T
+parseNumber(const std::string &flag, const char *s)
+{
+    T v{};
+    const char *end = s + std::strlen(s);
+    const auto [ptr, ec] = std::from_chars(s, end, v);
+    if (ec != std::errc() || ptr != end)
+        pri::fatal("invalid value '{}' for {}", s, flag);
+    return v;
+}
 
 pri::sim::Scheme
 parseScheme(const std::string &s)
@@ -158,46 +173,41 @@ main(int argc, char **argv)
         if (a == "-b") {
             p.benchmark = next();
         } else if (a == "-w") {
-            p.width = static_cast<unsigned>(std::atoi(next()));
+            p.width = parseNumber<unsigned>(a, next());
         } else if (a == "-s") {
             p.scheme = parseScheme(next());
         } else if (a == "-p") {
-            p.physRegs = static_cast<unsigned>(std::atoi(next()));
+            p.physRegs = parseNumber<unsigned>(a, next());
         } else if (a == "-n") {
-            p.measureInsts =
-                static_cast<uint64_t>(std::atoll(next()));
+            p.measureInsts = parseNumber<uint64_t>(a, next());
         } else if (a == "-u") {
-            p.warmupInsts =
-                static_cast<uint64_t>(std::atoll(next()));
+            p.warmupInsts = parseNumber<uint64_t>(a, next());
         } else if (a == "-S") {
-            p.seed = static_cast<uint64_t>(std::atoll(next()));
+            p.seed = parseNumber<uint64_t>(a, next());
         } else if (a == "-v") {
             verbose = true;
         } else if (a == "--read-ports") {
-            p.prfReadPorts =
-                static_cast<unsigned>(std::atoi(next()));
+            p.prfReadPorts = parseNumber<unsigned>(a, next());
         } else if (a == "--check-golden") {
             p.checkGolden = true;
         } else if (a == "--sweep") {
-            sweep = static_cast<size_t>(std::atoll(next()));
+            sweep = parseNumber<size_t>(a, next());
         } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(next()));
+            jobs = parseNumber<unsigned>(a, next());
         } else if (a == "--journal") {
             journal_path = next();
         } else if (a == "--timeout-ms") {
-            p.timeoutMs = static_cast<uint64_t>(std::atoll(next()));
+            p.timeoutMs = parseNumber<uint64_t>(a, next());
         } else if (a == "--cycle-budget") {
-            p.cycleBudget =
-                static_cast<uint64_t>(std::atoll(next()));
+            p.cycleBudget = parseNumber<uint64_t>(a, next());
         } else if (a == "--watchdog-cycles") {
-            p.watchdogCycles =
-                static_cast<uint64_t>(std::atoll(next()));
+            p.watchdogCycles = parseNumber<uint64_t>(a, next());
         } else if (a == "--no-watchdog") {
             p.watchdog = false;
         } else if (a == "--retries") {
-            retries = static_cast<unsigned>(std::atoi(next()));
+            retries = parseNumber<unsigned>(a, next());
         } else if (a == "--backoff-ms") {
-            backoff_ms = static_cast<unsigned>(std::atoi(next()));
+            backoff_ms = parseNumber<unsigned>(a, next());
         } else if (a == "--inject-fault") {
             std::string err;
             if (!pri::faults::parseFaultArg(next(), fault, err))

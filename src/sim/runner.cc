@@ -4,10 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <map>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/logging.hh"
 #include "sim/journal.hh"
+#include "workload/trace/trace_cache.hh"
 
 namespace pri::sim
 {
@@ -108,6 +112,11 @@ SimulationRunner::runOne(size_t index, const RunParams &params) const
             out.stalled = true;
             out.error = e.what();
             break;
+        } catch (const std::invalid_argument &e) {
+            // So are parameters no machine can run (an unknown
+            // benchmark, an unsupported width, ...).
+            out.error = e.what();
+            break;
         } catch (const std::exception &e) {
             out.error = e.what();
         } catch (...) {
@@ -137,9 +146,24 @@ SimulationRunner::runCaptured(const std::vector<RunParams> &batch) const
             pending.push_back(i);
         }
     }
+    // The sweep owns its workloads: whichever point of a (benchmark,
+    // seed) finishes last, ok or not, drops its program and traces
+    // from the cache (DESIGN.md §14). Journal hits build none.
+    std::map<std::pair<std::string, uint64_t>, std::atomic<size_t>>
+        left;
+    std::vector<std::atomic<size_t> *> leftOf(pending.size());
+    for (size_t k = 0; k < pending.size(); ++k) {
+        const RunParams &p = batch[pending[k]];
+        leftOf[k] = &left[{p.benchmark, p.seed}];
+        ++*leftOf[k];
+    }
     forEach(pending.size(), [&](size_t k) {
         const size_t i = pending[k];
         out[i] = runOne(i, batch[i]);
+        if (--*leftOf[k] == 0) {
+            workload::trace::TraceCache::global().release(
+                batch[i].benchmark, batch[i].seed);
+        }
     });
     return out;
 }

@@ -7,6 +7,10 @@
  * traces of their (benchmark, seed), from the process-wide workload
  * cache — and each owns its StatGroup and core, so the only
  * coordination the pool needs is an atomic work-stealing index.
+ * A batch owns the lifetime of its workloads: when the last of its
+ * points on a (benchmark, seed) finishes, the runner releases that
+ * workload from the cache, so a sweep holds only the workloads it
+ * still has points for.
  * Results are returned in submission order, which keeps every
  * figure table byte-identical to serial execution; `jobs == 1`
  * degenerates to a plain loop with no threads created.
@@ -107,7 +111,9 @@ class SimulationRunner
      * fatals, watchdog stalls — are captured into the matching
      * Outcome instead of terminating the program. Sibling runs are
      * unaffected; their results are bit-identical to a fault-free
-     * batch.
+     * batch. Stalls and std::invalid_argument (parameters no machine
+     * can run) fail at once, without retries. Each (benchmark, seed)
+     * workload is released from the cache after its last point.
      */
     std::vector<Outcome>
     runCaptured(const std::vector<RunParams> &batch) const;

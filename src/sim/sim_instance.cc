@@ -1,22 +1,56 @@
 #include "sim_instance.hh"
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
 
+#include "common/strfmt.hh"
+#include "isa/reg.hh"
 #include "workload/program.hh"
 
 namespace pri::sim
 {
 
+namespace
+{
+
+/** Throw std::invalid_argument for a point no machine can run. */
+template <typename... Args>
+[[noreturn]] void
+invalid(std::string_view fmt, Args &&...args)
+{
+    throw std::invalid_argument(
+        "invalid run parameters: " +
+        fmtStr(fmt, std::forward<Args>(args)...));
+}
+
+} // namespace
+
 core::CoreConfig
 coreConfigFor(const RunParams &params)
 {
+    if (params.width != 4 && params.width != 8)
+        invalid("width {} (must be 4 or 8)", params.width);
+    if (params.measureInsts == 0)
+        invalid("measureInsts 0 (must be at least 1)");
+    if (params.prfReadPorts == 1)
+        invalid("prfReadPorts 1 (must be 0 for unlimited, or >= 2)");
+
     const unsigned narrow = params.narrowBitsOverride
         ? params.narrowBitsOverride
         : core::CoreConfig::narrowBitsForWidth(params.width);
     auto rn_cfg =
         makeRenameConfig(params.scheme, params.physRegs, narrow);
     rn_cfg.injectFreeWithoutInline = params.injectFreeWithoutInline;
-    core::CoreConfig cfg = params.width >= 8
+    const unsigned min_regs = isa::kNumLogicalRegs +
+        (rn_cfg.virtualPhysical ? rn_cfg.vpReserve : 0);
+    if (rn_cfg.numPhysRegs <= min_regs) {
+        invalid("physRegs {} (must exceed {} under {})",
+                rn_cfg.numPhysRegs, min_regs,
+                schemeName(params.scheme));
+    }
+    core::CoreConfig cfg = params.width == 8
         ? core::CoreConfig::eightWide(rn_cfg)
         : core::CoreConfig::fourWide(rn_cfg);
     if (params.schedSizeOverride)
@@ -40,12 +74,13 @@ coreConfigFor(const RunParams &params)
     return cfg;
 }
 
-SimInstance::SimInstance(const RunParams &params)
-    : params(params),
-      work(workload::trace::TraceCache::global().workload(
-          params.benchmark, params.seed))
+SimInstance::SimInstance(const RunParams &params) : params(params)
 {
+    // Validate before the workload is fetched, so a bad point builds
+    // nothing.
     const core::CoreConfig cfg = coreConfigFor(params);
+    work = workload::trace::TraceCache::global().workload(
+        params.benchmark, params.seed);
     cpu = std::make_unique<core::OutOfOrderCore>(cfg, *work.program,
                                                  stats, work.traces);
     cpu->setWallClockBudget(params.timeoutMs);

@@ -87,6 +87,17 @@ TraceCache::workload(const std::string &benchmark, uint64_t seed)
     return w;
 }
 
+void
+TraceCache::release(const std::string &benchmark, uint64_t seed)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    const auto it = workloads.find({benchmark, seed});
+    if (it == workloads.end())
+        return;
+    entries.erase(it->second.traces->fingerprint());
+    workloads.erase(it);
+}
+
 std::shared_ptr<const ProgramTraces>
 TraceCache::acquireLocked(const SyntheticProgram &prog)
 {

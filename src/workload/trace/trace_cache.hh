@@ -15,7 +15,9 @@
  * across all sweep points of the same (benchmark, seed). Each is built
  * once under a mutex on first use, then handed out read-only, so
  * `--jobs N` workers and whole fig10-style sweeps build each program
- * and decode each trace set once (DESIGN.md §13, §14).
+ * and decode each trace set once. A runner sweep releases each
+ * (benchmark, seed) after its last point; other callers' entries stay
+ * until the capacity trim (DESIGN.md §13, §14).
  */
 
 #ifndef PRI_WORKLOAD_TRACE_TRACE_CACHE_HH
@@ -136,6 +138,13 @@ class TraceCache
      * acquire(). Throws like profileByName() on an unknown name.
      */
     Workload workload(const std::string &benchmark, uint64_t seed);
+
+    /**
+     * Drop the workload() entry of (@p benchmark, @p seed) and its
+     * traces from acquire()'s map. Holders keep their shared_ptrs;
+     * the next request builds afresh. No-op for an absent entry.
+     */
+    void release(const std::string &benchmark, uint64_t seed);
 
     struct Stats
     {

@@ -3,7 +3,8 @@
  * Tests for the parallel experiment runner: results must be
  * bit-identical to direct serial simulate() calls regardless of the
  * worker count, in submission order, across repeated invocations;
- * exceptions from workers must propagate or be captured per-run.
+ * exceptions from workers must propagate or be captured per-run, and
+ * a point no machine can run fails alone, without retries.
  *
  * Also the result cache: the sweep journal serves completed points,
  * survives torn writes and concurrent lookups beside appends, and
@@ -24,6 +25,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/core.hh"
@@ -31,6 +33,7 @@
 #include "sim/journal.hh"
 #include "sim/result_codec.hh"
 #include "sim/runner.hh"
+#include "sim/sim_instance.hh"
 #include "sim/simulation.hh"
 
 namespace pri::sim
@@ -244,6 +247,86 @@ TEST(SimulationRunner, PanicIsCapturedPerRun)
               std::string::npos);
     for (size_t i = 1; i < outcomes.size(); ++i)
         EXPECT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+}
+
+/** Each parameter no machine can run is a std::invalid_argument at
+ *  construction, never an abort or a silently different machine;
+ *  the boundary values next to each build. */
+TEST(SimulationRunner, InvalidParamsThrow)
+{
+    const std::vector<std::pair<const char *, void (*)(RunParams &)>>
+        bad = {
+            {"width 5", [](RunParams &p) { p.width = 5; }},
+            {"width 0", [](RunParams &p) { p.width = 0; }},
+            {"width 16", [](RunParams &p) { p.width = 16; }},
+            {"physRegs 10", [](RunParams &p) { p.physRegs = 10; }},
+            {"physRegs 32", [](RunParams &p) { p.physRegs = 32; }},
+            {"physRegs 36",
+             [](RunParams &p) {
+                 p.scheme = Scheme::VirtualPhysical;
+                 p.physRegs = 36;
+             }},
+            {"prfReadPorts 1", [](RunParams &p) { p.prfReadPorts = 1; }},
+            {"measureInsts 0", [](RunParams &p) { p.measureInsts = 0; }},
+        };
+    for (const auto &[what, mutate] : bad) {
+        RunParams p;
+        mutate(p);
+        try {
+            SimInstance inst(p);
+            ADD_FAILURE() << what << " built a machine";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(what),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW(simulate(p), std::invalid_argument) << what;
+    }
+
+    const std::vector<void (*)(RunParams &)> edge = {
+        [](RunParams &p) { p.width = 8; },
+        [](RunParams &p) { p.physRegs = 33; },
+        [](RunParams &p) {
+            p.scheme = Scheme::VirtualPhysicalPlusPri;
+            p.physRegs = 37;
+        },
+        // InfPR ignores physRegs.
+        [](RunParams &p) {
+            p.scheme = Scheme::InfinitePregs;
+            p.physRegs = 0;
+        },
+        [](RunParams &p) { p.prfReadPorts = 2; },
+        [](RunParams &p) { p.measureInsts = 1; },
+    };
+    for (const auto mutate : edge) {
+        RunParams p;
+        mutate(p);
+        EXPECT_NO_THROW(SimInstance{p}) << paramsSummary(p);
+    }
+}
+
+/** A bad point in a batch fails alone, on its first attempt: the
+ *  retry policy does not re-run a point that cannot run. */
+TEST(SimulationRunner, InvalidPointFailsOnlyItself)
+{
+    auto batch = smallBatch();
+    batch[2].width = 5;
+
+    SimulationRunner runner(4);
+    runner.setRetryPolicy({3, 0});
+    const auto outcomes = runner.runCaptured(batch);
+    ASSERT_FALSE(outcomes[2].ok());
+    EXPECT_FALSE(outcomes[2].stalled);
+    EXPECT_EQ(outcomes[2].attempts, 1u);
+    EXPECT_EQ(outcomes[2].error.find("run 2 (equake / Base / w5 / "),
+              0u);
+    EXPECT_NE(outcomes[2].error.find("width 5 (must be 4 or 8)"),
+              std::string::npos);
+    for (size_t i : {size_t{0}, size_t{1}, size_t{3}}) {
+        ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+        EXPECT_EQ(outcomes[i].attempts, 1u);
+        expectIdentical(outcomes[i].result, simulate(batch[i]));
+    }
 }
 
 /** Transient failures within the attempt budget retry to success;

@@ -7,20 +7,26 @@
  * and the process-global TraceCache must share one compilation across
  * all walkers of the same program and one program across all
  * simulations of the same (benchmark, seed), also under racing
- * threads (hence the determinism label). Also holds the checkpointInto
- * stack-reuse regression test: once a pooled checkpoint slot has seen
- * the deepest call stack, captures must never reallocate.
+ * threads (hence the determinism label). A runner sweep builds each
+ * (benchmark, seed) once and drops it after its last point, also when
+ * that point fails. Also holds the checkpointInto stack-reuse
+ * regression test: once a pooled checkpoint slot has seen the deepest
+ * call stack, captures must never reallocate.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "sim/journal.hh"
+#include "sim/runner.hh"
 #include "sim/sim_instance.hh"
 #include "workload/profile.hh"
 #include "workload/program.hh"
@@ -432,6 +438,205 @@ TEST(WorkloadCache, ResetDropsProgramsAndTraces)
     EXPECT_TRUE(program2.expired());
     EXPECT_TRUE(traces2.expired());
     EXPECT_EQ(cache.stats().workloadsBuilt, 0u);
+}
+
+TEST(WorkloadCache, ReleaseDropsOneKey)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+
+    auto held = cache.workload("gcc", 7);
+    std::weak_ptr<const SyntheticProgram> program = held.program;
+    std::weak_ptr<const trace::ProgramTraces> traces = held.traces;
+    const auto other = cache.workload("gcc", 8);
+    const uint64_t other_bytes = other.traces->traceBytes();
+
+    // A holder keeps its workload through a release; the cache lets
+    // go of it and of its traces, and the other key stays cached.
+    cache.release("gcc", 7);
+    cache.release("gcc", 7); // absent now: no-op
+    cache.release("no-such-benchmark", 7);
+    EXPECT_FALSE(program.expired());
+    EXPECT_EQ(cache.stats().traceBytes, other_bytes);
+    held = {};
+    EXPECT_TRUE(program.expired());
+    EXPECT_TRUE(traces.expired());
+    EXPECT_EQ(cache.workload("gcc", 8).program.get(),
+              other.program.get());
+    EXPECT_EQ(cache.stats().workloadsBuilt, 2u);
+
+    // The next request builds afresh.
+    EXPECT_NE(cache.workload("gcc", 7).program, nullptr);
+    EXPECT_EQ(cache.stats().workloadsBuilt, 3u);
+    cache.reset();
+}
+
+/** A short runner point on (@p bench, @p seed). */
+sim::RunParams
+sweepPoint(const char *bench, uint64_t seed, sim::Scheme scheme)
+{
+    sim::RunParams p;
+    p.benchmark = bench;
+    p.seed = seed;
+    p.scheme = scheme;
+    p.warmupInsts = 1000;
+    p.measureInsts = 4000;
+    return p;
+}
+
+/** @p per_key points on each of three (benchmark, seed) keys,
+ *  interleaved so every key has points in flight at once. */
+std::vector<sim::RunParams>
+interleavedBatch(size_t per_key)
+{
+    static const sim::Scheme kSchemes[] = {
+        sim::Scheme::Base, sim::Scheme::PriRefcountCkptcount,
+        sim::Scheme::EarlyRelease, sim::Scheme::InfinitePregs};
+    std::vector<sim::RunParams> batch;
+    for (size_t n = 0; n < per_key; ++n) {
+        const auto scheme = kSchemes[n % std::size(kSchemes)];
+        batch.push_back(sweepPoint("gzip", 7, scheme));
+        batch.push_back(sweepPoint("mcf", 7, scheme));
+        batch.push_back(sweepPoint("gzip", 8, scheme));
+    }
+    return batch;
+}
+
+/** Weak handles on one cached workload. */
+struct WeakWorkload
+{
+    std::weak_ptr<const SyntheticProgram> program;
+    std::weak_ptr<const trace::ProgramTraces> traces;
+};
+
+WeakWorkload
+watch(const char *bench, uint64_t seed)
+{
+    const auto w = trace::TraceCache::global().workload(bench, seed);
+    return {w.program, w.traces};
+}
+
+TEST(SweepLifetime, WorkloadsDieAfterTheSweepsLastPoint)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+    const WeakWorkload watched[] = {
+        watch("gzip", 7), watch("mcf", 7), watch("gzip", 8)};
+
+    const auto outcomes =
+        sim::SimulationRunner(4).runCaptured(interleavedBatch(3));
+    for (const auto &o : outcomes)
+        ASSERT_TRUE(o.ok()) << o.error;
+    for (const auto &w : watched) {
+        EXPECT_TRUE(w.program.expired());
+        EXPECT_TRUE(w.traces.expired());
+    }
+    const auto s = cache.stats();
+    EXPECT_EQ(s.traceBytes, 0u);
+    EXPECT_EQ(s.workloadsBuilt, 3u); // the watch() builds, then hits
+    cache.reset();
+}
+
+TEST(SweepLifetime, InterleavedKeysBuildOncePerSweep)
+{
+    // One worker makes the order exact: a key released before its
+    // last point would be rebuilt for it. Four race the keys.
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        auto &cache = trace::TraceCache::global();
+        cache.reset();
+        const auto batch = interleavedBatch(4);
+        const auto outcomes =
+            sim::SimulationRunner(jobs).runCaptured(batch);
+        for (const auto &o : outcomes)
+            ASSERT_TRUE(o.ok()) << o.error;
+        const auto s = cache.stats();
+        EXPECT_EQ(s.workloadsBuilt, 3u);
+        EXPECT_EQ(s.workloadsShared, batch.size() - 3);
+        EXPECT_EQ(s.programsCompiled, 3u);
+        EXPECT_EQ(s.traceBytes, 0u);
+        cache.reset();
+    }
+}
+
+TEST(SweepLifetime, FailedAndStalledKeysAreReleased)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+    const WeakWorkload panicked = watch("gzip", 7);
+    const WeakWorkload stalled = watch("mcf", 5);
+
+    // Each key's only point fails after building its machine: a
+    // golden divergence panics, a wedged scheduler stalls.
+    auto bad = sweepPoint("gzip", 7, sim::Scheme::Base);
+    bad.checkGolden = true;
+    bad.injectFault = core::InjectedFault::CommitWrongPath;
+    auto wedged = sweepPoint("mcf", 5, sim::Scheme::Base);
+    wedged.injectFault = core::InjectedFault::WedgeScheduler;
+    wedged.watchdogCycles = 30000;
+    wedged.measureInsts = 50000;
+
+    const auto outcomes =
+        sim::SimulationRunner(2).runCaptured({bad, wedged});
+    ASSERT_FALSE(outcomes[0].ok());
+    EXPECT_FALSE(outcomes[0].stalled);
+    ASSERT_FALSE(outcomes[1].ok());
+    EXPECT_TRUE(outcomes[1].stalled);
+    for (const auto &w : {panicked, stalled}) {
+        EXPECT_TRUE(w.program.expired());
+        EXPECT_TRUE(w.traces.expired());
+    }
+    EXPECT_EQ(cache.stats().traceBytes, 0u);
+    cache.reset();
+}
+
+TEST(SweepLifetime, SecondSweepRebuildsIdentically)
+{
+    auto &cache = trace::TraceCache::global();
+    cache.reset();
+    const auto batch = interleavedBatch(2);
+    sim::SimulationRunner runner(4);
+    const auto first = runner.run(batch);
+    EXPECT_EQ(cache.stats().workloadsBuilt, 3u);
+    const auto second = runner.run(batch);
+    EXPECT_EQ(cache.stats().workloadsBuilt, 6u);
+    ASSERT_EQ(first.size(), second.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(first[i].cycles, second[i].cycles) << i;
+        EXPECT_EQ(first[i].archSig, second[i].archSig) << i;
+        EXPECT_EQ(first[i].report, second[i].report) << i;
+    }
+    cache.reset();
+}
+
+TEST(SweepLifetime, JournalHitsHoldNothing)
+{
+    const std::string path =
+        testing::TempDir() + "pri_test_journal_lifetime";
+    std::remove(path.c_str());
+    const auto batch = interleavedBatch(2);
+    auto &cache = trace::TraceCache::global();
+    {
+        sim::SweepJournal journal(path);
+        sim::SimulationRunner runner(2);
+        runner.setJournal(&journal);
+        runner.run(batch);
+    }
+
+    cache.reset();
+    sim::SweepJournal journal(path);
+    sim::SimulationRunner runner(2);
+    runner.setJournal(&journal);
+    const auto outcomes = runner.runCaptured(batch);
+    for (const auto &o : outcomes) {
+        ASSERT_TRUE(o.ok()) << o.error;
+        EXPECT_TRUE(o.fromJournal);
+    }
+    const auto s = cache.stats();
+    EXPECT_EQ(s.workloadsBuilt, 0u);
+    EXPECT_EQ(s.workloadsShared, 0u);
+    EXPECT_EQ(s.traceBytes, 0u);
+    std::remove(path.c_str());
 }
 
 /**
