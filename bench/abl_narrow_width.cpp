@@ -10,44 +10,12 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "core/core.hh"
-#include "workload/program.hh"
-
-namespace
-{
-
-double
-runWithNarrowBits(const std::string &bench, unsigned narrow_bits,
-                  const pri::bench::Budget &budget, bool pri_on)
-{
-    using namespace pri;
-    double ipc_sum = 0.0;
-    for (uint64_t seed : bench::kSeeds) {
-        workload::SyntheticProgram prog(
-            workload::profileByName(bench), seed);
-        auto rc = pri_on
-            ? rename::RenameConfig::priRefcountCkptcount(
-                  64, narrow_bits)
-            : rename::RenameConfig::base(64, narrow_bits);
-        StatGroup stats;
-        core::OutOfOrderCore cpu(core::CoreConfig::fourWide(rc),
-                                 prog, stats);
-        cpu.run(budget.warmup);
-        cpu.beginMeasurement();
-        cpu.run(budget.measure);
-        ipc_sum += cpu.ipc();
-    }
-    return ipc_sum / std::size(pri::bench::kSeeds);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace pri;
     const auto opts = bench::parseOptions(argc, argv);
-    const auto &budget = opts.budget;
     const unsigned widths[] = {4, 7, 8, 10, 12, 16};
     const std::string benches[] = {"gzip", "crafty", "mcf", "gcc"};
 
@@ -58,27 +26,22 @@ main(int argc, char **argv)
         std::printf(" %7ub", w);
     std::printf("\n");
 
-    // One job per cell (plus one Base per row), fanned out across
-    // the runner; rows print in order afterwards.
-    struct Job
-    {
-        std::string bench;
-        unsigned narrowBits;
-        bool priOn;
+    // One point per cell (plus one 7-bit Base per row), as one
+    // runner batch; rows print in order afterwards.
+    std::vector<sim::RunParams> points;
+    const auto add = [&](const std::string &b, sim::Scheme scheme,
+                         unsigned narrow_bits) {
+        auto p = bench::detail::paramsFor({b, 4, scheme}, opts.budget,
+                                          0);
+        p.narrowBitsOverride = narrow_bits;
+        points.push_back(p);
     };
-    std::vector<Job> jobs;
     for (const auto &b : benches) {
-        jobs.push_back(Job{b, 7, false});
+        add(b, sim::Scheme::Base, 7);
         for (unsigned w : widths)
-            jobs.push_back(Job{b, w, true});
+            add(b, sim::Scheme::PriRefcountCkptcount, w);
     }
-    std::vector<double> ipc(jobs.size());
-    sim::SimulationRunner(opts.jobs).forEach(
-        jobs.size(), [&](size_t i) {
-            ipc[i] = runWithNarrowBits(jobs[i].bench,
-                                       jobs[i].narrowBits, budget,
-                                       jobs[i].priOn);
-        });
+    const auto ipc = bench::seedMeanIpc(points, opts);
 
     size_t j = 0;
     for (const auto &b : benches) {

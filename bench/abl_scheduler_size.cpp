@@ -10,72 +10,41 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "core/core.hh"
-#include "workload/program.hh"
-
-namespace
-{
-
-double
-runSched(const std::string &bench, unsigned sched, bool pri_on,
-         const pri::bench::Budget &budget)
-{
-    using namespace pri;
-    double ipc_sum = 0.0;
-    for (uint64_t seed : bench::kSeeds) {
-        workload::SyntheticProgram prog(
-            workload::profileByName(bench), seed);
-        auto rc = pri_on
-            ? rename::RenameConfig::priRefcountCkptcount(64, 7)
-            : rename::RenameConfig::base(64, 7);
-        auto cfg = core::CoreConfig::fourWide(rc);
-        cfg.schedSize = sched;
-        StatGroup stats;
-        core::OutOfOrderCore cpu(cfg, prog, stats);
-        cpu.run(budget.warmup);
-        cpu.beginMeasurement();
-        cpu.run(budget.measure);
-        ipc_sum += cpu.ipc();
-    }
-    return ipc_sum / std::size(pri::bench::kSeeds);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace pri;
     const auto opts = bench::parseOptions(argc, argv);
-    const auto &budget = opts.budget;
     const unsigned sizes[] = {16, 32, 64, 128, 512};
     const std::string benches[] = {"gzip", "equake", "gcc"};
 
     std::printf("=== Ablation: scheduler size vs PRI benefit "
                 "(4-wide, 64 PR) ===\n\n");
 
-    // Flatten the (bench x sched x {Base,PRI}) grid into jobs for
-    // the runner; print the tables in order afterwards.
-    const size_t n_cells = std::size(benches) * std::size(sizes);
-    std::vector<double> base_ipc(n_cells), pri_ipc(n_cells);
-    sim::SimulationRunner(opts.jobs).forEach(
-        n_cells * 2, [&](size_t i) {
-            const size_t cell = i / 2;
-            const auto &b = benches[cell / std::size(sizes)];
-            const unsigned s = sizes[cell % std::size(sizes)];
-            if (i % 2 == 0)
-                base_ipc[cell] = runSched(b, s, false, budget);
-            else
-                pri_ipc[cell] = runSched(b, s, true, budget);
-        });
+    // The (bench x sched x {Base,PRI}) grid as one runner batch;
+    // print the tables in order afterwards.
+    std::vector<sim::RunParams> points;
+    for (const auto &b : benches) {
+        for (unsigned s : sizes) {
+            for (auto scheme : {sim::Scheme::Base,
+                                sim::Scheme::PriRefcountCkptcount}) {
+                auto p = bench::detail::paramsFor({b, 4, scheme},
+                                                  opts.budget, 0);
+                p.schedSizeOverride = s;
+                points.push_back(p);
+            }
+        }
+    }
+    const auto ipc = bench::seedMeanIpc(points, opts);
 
     for (size_t bi = 0; bi < std::size(benches); ++bi) {
         std::printf("%s\n%8s %10s %10s %10s\n", benches[bi].c_str(),
                     "sched", "IPC(Base)", "IPC(PRI)", "speedup");
         for (size_t si = 0; si < std::size(sizes); ++si) {
             const size_t cell = bi * std::size(sizes) + si;
-            const double base = base_ipc[cell];
-            const double pri = pri_ipc[cell];
+            const double base = ipc[2 * cell];
+            const double pri = ipc[2 * cell + 1];
             std::printf("%8u %10.3f %10.3f %9.1f%%\n", sizes[si],
                         base, pri, 100.0 * (pri / base - 1.0));
         }

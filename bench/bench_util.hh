@@ -31,16 +31,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
@@ -57,23 +60,6 @@ struct Budget
     uint64_t measure = 80000;
 };
 
-/** Parse --quick / --full from argv. */
-inline Budget
-parseBudget(int argc, char **argv)
-{
-    Budget b;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            b.warmup = 5000;
-            b.measure = 20000;
-        } else if (std::strcmp(argv[i], "--full") == 0) {
-            b.warmup = 50000;
-            b.measure = 250000;
-        }
-    }
-    return b;
-}
-
 /** Common harness options: budgets, worker count, JSON sink,
  *  crash-resilience knobs. */
 struct Options
@@ -83,20 +69,25 @@ struct Options
     std::string jsonPath;  ///< --json FILE: machine-readable results
     std::string journalPath; ///< --journal FILE: resumable sweeps
     uint64_t timeoutMs = 0;  ///< --timeout-ms N: per-run wall budget
-    unsigned retries = 0;    ///< --retries N: re-attempts per point
-    unsigned backoffMs = 0;  ///< --backoff-ms N: sleep between tries
+};
+
+/** A harness's own numeric flag (`NAME N`), accepted beside the
+ *  common set; N is stored through @c value. */
+struct ExtraFlag
+{
+    const char *name;
+    std::variant<unsigned *, uint64_t *> value;
 };
 
 namespace detail
 {
 
 /** Process-wide resilience state the option parser arms and the
- *  prefetcher / runOne() / fig_fault_avf consume: retry policy,
- *  per-run wall-clock budget, and (when --journal is given) the
- *  process's one sweep journal. */
+ *  prefetcher / runOne() / fig_fault_avf consume: the per-run
+ *  wall-clock budget and (when --journal is given) the process's
+ *  one sweep journal. */
 struct Resilience
 {
-    sim::RetryPolicy retry;
     uint64_t timeoutMs = 0;
     std::unique_ptr<sim::SweepJournal> journal;
 };
@@ -111,39 +102,51 @@ resilience()
 } // namespace detail
 
 /** Parse --quick / --full / --jobs N / --json FILE /
- *  --journal FILE / --timeout-ms N / --retries N / --backoff-ms N
- *  from argv. Also installs the fatal-signal handlers so a crashed
- *  harness leaves a flight-recorder dump naming the run it died
- *  in. */
+ *  --journal FILE / --timeout-ms N and the harness's @p extra flags
+ *  from argv. Numbers must be whole unsigned decimals; a bad
+ *  number, a missing value or an unknown argument is fatal. Also
+ *  installs the fatal-signal handlers so a crashed harness leaves a
+ *  flight-recorder dump naming the run it died in. */
 inline Options
-parseOptions(int argc, char **argv)
+parseOptions(int argc, char **argv,
+             std::initializer_list<ExtraFlag> extra = {})
 {
     installCrashHandlers();
     Options o;
-    o.budget = parseBudget(argc, argv);
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            o.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--json") == 0 &&
-                   i + 1 < argc) {
-            o.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--journal") == 0 &&
-                   i + 1 < argc) {
-            o.journalPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--timeout-ms") == 0 &&
-                   i + 1 < argc) {
-            o.timeoutMs =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (std::strcmp(argv[i], "--retries") == 0 &&
-                   i + 1 < argc) {
-            o.retries = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--backoff-ms") == 0 &&
-                   i + 1 < argc) {
-            o.backoffMs = static_cast<unsigned>(std::atoi(argv[++i]));
+        const std::string_view a = argv[i];
+        const auto value = [&]() -> std::string_view {
+            if (i + 1 >= argc)
+                fatal("missing value for {}", a);
+            return argv[++i];
+        };
+        if (a == "--quick") {
+            o.budget = Budget{5000, 20000};
+        } else if (a == "--full") {
+            o.budget = Budget{50000, 250000};
+        } else if (a == "--jobs") {
+            o.jobs = parseFlagValue<unsigned>(a, value());
+        } else if (a == "--json") {
+            o.jsonPath = value();
+        } else if (a == "--journal") {
+            o.journalPath = value();
+        } else if (a == "--timeout-ms") {
+            o.timeoutMs = parseFlagValue<uint64_t>(a, value());
+        } else if (auto f = std::find_if(
+                       extra.begin(), extra.end(),
+                       [&](const ExtraFlag &e) { return a == e.name; });
+                   f != extra.end()) {
+            std::visit(
+                [&](auto *v) {
+                    using T = std::remove_pointer_t<decltype(v)>;
+                    *v = parseFlagValue<T>(a, value());
+                },
+                f->value);
+        } else {
+            fatal("unknown argument '{}'", a);
         }
     }
     auto &rz = detail::resilience();
-    rz.retry = sim::RetryPolicy{o.retries + 1, o.backoffMs};
     rz.timeoutMs = o.timeoutMs;
     if (!o.journalPath.empty() && rz.journal == nullptr) {
         rz.journal =
@@ -215,13 +218,12 @@ paramsFor(const Point &pt, const Budget &budget, uint64_t seed)
     return p;
 }
 
-/** Thread-pool runner armed with the harness retry policy and
- *  (when --journal was given) the shared sweep journal. */
+/** Thread-pool runner armed with (when --journal was given) the
+ *  shared sweep journal. */
 inline sim::SimulationRunner
 makeRunner(unsigned jobs)
 {
     sim::SimulationRunner runner(jobs);
-    runner.setRetryPolicy(resilience().retry);
     runner.setJournal(resilience().journal.get());
     return runner;
 }
@@ -322,6 +324,38 @@ prefetchPoints(const std::vector<Point> &points, const Options &opts)
     }
 }
 
+/**
+ * Run every point of @p points once per kSeeds seed (each point's
+ * own seed is ignored) through the harness runner and return each
+ * point's mean IPC: the per-seed IPCs summed in seed order, divided
+ * by the seed count. For sweeps over RunParams fields a Point does
+ * not carry, such as the scheduler size or the narrow-value width.
+ */
+inline std::vector<double>
+seedMeanIpc(const std::vector<sim::RunParams> &points,
+            const Options &opts)
+{
+    constexpr size_t n_seeds = std::size(kSeeds);
+    std::vector<sim::RunParams> batch;
+    batch.reserve(points.size() * n_seeds);
+    for (const auto &p : points) {
+        for (uint64_t seed : kSeeds) {
+            batch.push_back(p);
+            batch.back().seed = seed;
+        }
+    }
+    const auto results = detail::makeRunner(opts.jobs).run(batch);
+
+    std::vector<double> ipc(points.size());
+    for (size_t i = 0; i < points.size(); ++i) {
+        double sum = 0.0;
+        for (size_t k = 0; k < n_seeds; ++k)
+            sum += results[i * n_seeds + k].ipc;
+        ipc[i] = sum / n_seeds;
+    }
+    return ipc;
+}
+
 /** Cross-product convenience wrapper over prefetchPoints(). */
 inline void
 prefetchGrid(const std::vector<std::string> &benches,
@@ -397,8 +431,8 @@ runOne(const std::string &bench, unsigned width, sim::Scheme scheme,
     for (uint64_t seed : kSeeds)
         batch.push_back(detail::paramsFor(pt, budget, seed));
     // Through the harness runner rather than bare simulate():
-    // cache misses in the printing code get the same journal and
-    // retry handling as prefetched points.
+    // cache misses in the printing code get the same journal
+    // handling as prefetched points.
     const auto per_seed = detail::makeRunner(1).run(batch);
     return detail::cacheInsert(
         key, detail::averageResults(per_seed));

@@ -20,13 +20,12 @@
  * byte-identical across --jobs and --journal resume.
  *
  * Extra options on top of the common set:
- *   --injections N   strikes per (scheme, site) cell (default 16;
- *                    --quick halves, --full doubles)
+ *   --injections N   strikes per (scheme, site) cell (default, or
+ *                    0: 16; 4 at --quick, 50 at --full)
  *   --campaign-seed S  root of all injection draws (default 1)
  */
 
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.hh"
 #include "faults/campaign_runner.hh"
@@ -113,35 +112,26 @@ int
 main(int argc, char **argv)
 {
     using namespace pri;
-    const auto opts = bench::parseOptions(argc, argv);
-
     faults::CampaignSpec spec;
+    spec.injections = 0; // unless given: derived from the budget
+    const auto opts = bench::parseOptions(
+        argc, argv,
+        {{"--injections", &spec.injections},
+         {"--campaign-seed", &spec.campaignSeed}});
     spec.schemes.assign(std::begin(kSchemes), std::end(kSchemes));
     // A tenth of the common budgets: a campaign multiplies every
     // cell by N injections, and single-strike classification needs
     // a window, not a long steady state.
     spec.warmupInsts = opts.budget.warmup / 10;
     spec.measureInsts = opts.budget.measure / 10;
-    spec.injections = static_cast<unsigned>(
-        opts.budget.measure / 5000); // 16 default, 4 quick, 50 full
     spec.timeoutMs = opts.timeoutMs;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--injections") == 0 &&
-            i + 1 < argc) {
-            spec.injections =
-                static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--campaign-seed") == 0 &&
-                   i + 1 < argc) {
-            spec.campaignSeed =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        }
+    if (spec.injections == 0) {
+        spec.injections = static_cast<unsigned>(
+            opts.budget.measure / 5000); // 16 default, 4 quick, 50 full
     }
-    if (spec.injections == 0)
-        spec.injections = 1;
 
     faults::CampaignExec exec;
     exec.jobs = opts.jobs;
-    exec.retry = sim::RetryPolicy{opts.retries + 1, opts.backoffMs};
     // parseOptions() already opened --journal; one writer per file.
     exec.journal = bench::detail::resilience().journal.get();
 

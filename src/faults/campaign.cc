@@ -12,9 +12,9 @@ FaultOutcome
 classifyOutcome(const sim::SimulationRunner::Outcome &faulted,
                 const sim::SimulationRunner::Outcome &ref)
 {
-    // Order matters: a wedge is a Hang even if retries also left
-    // error text, and a golden panic is DetectedByGolden even
-    // though it, too, is a panic.
+    // Order matters: a wedge is a Hang although it, too, left error
+    // text, and a golden panic is DetectedByGolden even though it,
+    // too, is a panic.
     if (faulted.stalled)
         return FaultOutcome::Hang;
     if (!faulted.ok()) {

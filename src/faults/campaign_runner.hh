@@ -73,7 +73,6 @@ struct CampaignSpec
 struct CampaignExec
 {
     unsigned jobs = 0;       ///< 0 = hardware_concurrency
-    sim::RetryPolicy retry{1, 0};
     sim::SweepJournal *journal = nullptr; ///< optional
 };
 
@@ -126,7 +125,6 @@ runCampaignBatch(const std::vector<sim::RunParams> &batch,
                  const CampaignExec &exec)
 {
     sim::SimulationRunner runner(exec.jobs);
-    runner.setRetryPolicy(exec.retry);
     runner.setJournal(exec.journal);
     return runner.runCaptured(batch);
 }

@@ -1,7 +1,8 @@
 #include "faults/fault_arg.hh"
 
-#include <cstdlib>
 #include <vector>
+
+#include "common/parse_number.hh"
 
 namespace pri::faults
 {
@@ -35,11 +36,10 @@ splitColon(const std::string &s)
 bool
 parseU64(const std::string &s, uint64_t &out)
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end == s.c_str() + s.size();
+    const auto v = parseDecimal<uint64_t>(s);
+    if (v)
+        out = *v;
+    return v.has_value();
 }
 
 bool

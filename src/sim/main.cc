@@ -10,7 +10,6 @@
  *           [--sweep N] [--jobs N] [--journal PATH]
  *           [--timeout-ms N] [--cycle-budget N]
  *           [--watchdog-cycles N] [--no-watchdog]
- *           [--retries N] [--backoff-ms N]
  *           [--inject-fault KIND[@POINT]]
  *
  * Schemes: base er pri pri-lazy pri-ideal pri-ideal-lazy pri-er inf
@@ -36,15 +35,13 @@
  * count the warm-up.
  */
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "common/hashing.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "faults/fault_arg.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
@@ -54,19 +51,7 @@
 namespace
 {
 
-/** All of @p s as an unsigned decimal @p T (no sign, no trailing
- *  text, no overflow), or a fatal naming @p flag. */
-template <typename T>
-T
-parseNumber(const std::string &flag, const char *s)
-{
-    T v{};
-    const char *end = s + std::strlen(s);
-    const auto [ptr, ec] = std::from_chars(s, end, v);
-    if (ec != std::errc() || ptr != end)
-        pri::fatal("invalid value '{}' for {}", s, flag);
-    return v;
-}
+using pri::parseFlagValue;
 
 pri::sim::Scheme
 parseScheme(const std::string &s)
@@ -158,8 +143,6 @@ main(int argc, char **argv)
     bool verbose = false;
     size_t sweep = 0;
     unsigned jobs = 1;
-    unsigned retries = 0;
-    unsigned backoff_ms = 0;
     std::string journal_path;
     pri::faults::FaultArg fault;
 
@@ -173,41 +156,37 @@ main(int argc, char **argv)
         if (a == "-b") {
             p.benchmark = next();
         } else if (a == "-w") {
-            p.width = parseNumber<unsigned>(a, next());
+            p.width = parseFlagValue<unsigned>(a, next());
         } else if (a == "-s") {
             p.scheme = parseScheme(next());
         } else if (a == "-p") {
-            p.physRegs = parseNumber<unsigned>(a, next());
+            p.physRegs = parseFlagValue<unsigned>(a, next());
         } else if (a == "-n") {
-            p.measureInsts = parseNumber<uint64_t>(a, next());
+            p.measureInsts = parseFlagValue<uint64_t>(a, next());
         } else if (a == "-u") {
-            p.warmupInsts = parseNumber<uint64_t>(a, next());
+            p.warmupInsts = parseFlagValue<uint64_t>(a, next());
         } else if (a == "-S") {
-            p.seed = parseNumber<uint64_t>(a, next());
+            p.seed = parseFlagValue<uint64_t>(a, next());
         } else if (a == "-v") {
             verbose = true;
         } else if (a == "--read-ports") {
-            p.prfReadPorts = parseNumber<unsigned>(a, next());
+            p.prfReadPorts = parseFlagValue<unsigned>(a, next());
         } else if (a == "--check-golden") {
             p.checkGolden = true;
         } else if (a == "--sweep") {
-            sweep = parseNumber<size_t>(a, next());
+            sweep = parseFlagValue<size_t>(a, next());
         } else if (a == "--jobs") {
-            jobs = parseNumber<unsigned>(a, next());
+            jobs = parseFlagValue<unsigned>(a, next());
         } else if (a == "--journal") {
             journal_path = next();
         } else if (a == "--timeout-ms") {
-            p.timeoutMs = parseNumber<uint64_t>(a, next());
+            p.timeoutMs = parseFlagValue<uint64_t>(a, next());
         } else if (a == "--cycle-budget") {
-            p.cycleBudget = parseNumber<uint64_t>(a, next());
+            p.cycleBudget = parseFlagValue<uint64_t>(a, next());
         } else if (a == "--watchdog-cycles") {
-            p.watchdogCycles = parseNumber<uint64_t>(a, next());
+            p.watchdogCycles = parseFlagValue<uint64_t>(a, next());
         } else if (a == "--no-watchdog") {
             p.watchdog = false;
-        } else if (a == "--retries") {
-            retries = parseNumber<unsigned>(a, next());
-        } else if (a == "--backoff-ms") {
-            backoff_ms = parseNumber<unsigned>(a, next());
         } else if (a == "--inject-fault") {
             std::string err;
             if (!pri::faults::parseFaultArg(next(), fault, err))
@@ -226,7 +205,6 @@ main(int argc, char **argv)
                          "[--journal PATH] [--timeout-ms N] "
                          "[--cycle-budget N] "
                          "[--watchdog-cycles N] [--no-watchdog] "
-                         "[--retries N] [--backoff-ms N] "
                          "[--inject-fault KIND[@POINT]]\n");
             return 1;
         }
@@ -273,7 +251,6 @@ main(int argc, char **argv)
     }
 
     pri::sim::SimulationRunner runner(jobs);
-    runner.setRetryPolicy({retries + 1, backoff_ms});
     if (journal.enabled())
         runner.setJournal(&journal);
     const auto outcomes = runner.runCaptured(batch);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <map>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -89,44 +87,22 @@ SimulationRunner::Outcome
 SimulationRunner::runOne(size_t index, const RunParams &params) const
 {
     Outcome out;
-    const unsigned tries = std::max(1u, retry.maxAttempts);
-    for (unsigned attempt = 0; attempt < tries; ++attempt) {
-        if (attempt > 0 && retry.backoffMs > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(attempt * retry.backoffMs));
-        }
-        RunParams p = params;
-        p.attempt = attempt;
-        ++out.attempts;
-        try {
-            ScopedErrorCapture capture;
-            out.result = simulate(p);
-            out.error.clear();
-            out.stalled = false;
-            if (journal != nullptr)
-                journal->record(paramsHash(params), out.result);
-            return out;
-        } catch (const core::ProgressStallError &e) {
-            // Watchdog stalls are deterministic; retrying would
-            // just wedge again, so fail the point immediately.
-            out.stalled = true;
-            out.error = e.what();
-            break;
-        } catch (const std::invalid_argument &e) {
-            // So are parameters no machine can run (an unknown
-            // benchmark, an unsupported width, ...).
-            out.error = e.what();
-            break;
-        } catch (const std::exception &e) {
-            out.error = e.what();
-        } catch (...) {
-            out.error = "unknown exception";
-        }
+    try {
+        ScopedErrorCapture capture;
+        out.result = simulate(params);
+        if (journal != nullptr)
+            journal->record(paramsHash(params), out.result);
+        return out;
+    } catch (const core::ProgressStallError &e) {
+        out.stalled = true;
+        out.error = e.what();
+    } catch (const std::exception &e) {
+        out.error = e.what();
+    } catch (...) {
+        out.error = "unknown exception";
     }
-    if (!out.ok()) {
-        out.error = fmtStr("run {} ({}): {}", index,
-                           paramsSummary(params), out.error);
-    }
+    out.error = fmtStr("run {} ({}): {}", index, paramsSummary(params),
+                       out.error);
     return out;
 }
 
@@ -187,10 +163,8 @@ SimulationRunner::describeFailures(const std::vector<Outcome> &outcomes)
         // The error itself already leads with "run <i> (<params>)".
         const std::string brief =
             o.error.substr(0, o.error.find('\n'));
-        table += fmtStr("  [{} after {} attempt{}] {}\n",
-                        o.stalled ? "stalled" : "failed",
-                        o.attempts, o.attempts == 1 ? "" : "s",
-                        brief);
+        table += fmtStr("  [{}] {}\n",
+                        o.stalled ? "stalled" : "failed", brief);
     }
     return table;
 }

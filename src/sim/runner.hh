@@ -19,11 +19,12 @@
  * (core::ProgressStallError from the forward-progress watchdog), or
  * throws is captured into its own Outcome — with the run index and
  * a one-line parameter summary prefixed to the error — while every
- * sibling point completes normally. A RetryPolicy re-attempts
- * failed runs with linear backoff, and an optional SweepJournal
- * serves points a previous (possibly killed) process already
- * finished, on the calling thread before any worker starts, and
- * persists each new result as it lands.
+ * sibling point completes normally. Each point is simulated exactly
+ * once: the simulator is deterministic, so a point that failed
+ * would fail again byte for byte. An optional SweepJournal serves
+ * points a previous (possibly killed) process already finished, on
+ * the calling thread before any worker starts, and persists each
+ * new result as it lands.
  */
 
 #ifndef PRI_SIM_RUNNER_HH
@@ -47,15 +48,6 @@ class SweepJournal;
  */
 unsigned defaultJobs();
 
-/** Re-attempt schedule for failed runs. */
-struct RetryPolicy
-{
-    /** Total tries per point (1 = no retries). */
-    unsigned maxAttempts = 1;
-    /** Sleep before attempt k (1-based retry) is k*backoffMs. */
-    unsigned backoffMs = 0;
-};
-
 /** Thread-pool executor for batches of independent simulations. */
 class SimulationRunner
 {
@@ -64,9 +56,6 @@ class SimulationRunner
     explicit SimulationRunner(unsigned jobs = 0);
 
     unsigned jobs() const { return nJobs; }
-
-    /** Re-attempt failed runs per @p policy (default: one try). */
-    void setRetryPolicy(RetryPolicy policy) { retry = policy; }
 
     /** Does nothing. It stays only because bench/perf/child.cpp
      *  still calls it; remove both at the next change to that
@@ -89,8 +78,6 @@ class SimulationRunner
         /** Failed via the forward-progress watchdog or a budget
          *  (core::ProgressStallError) rather than a plain error. */
         bool stalled = false;
-        /** Simulation attempts consumed (0 for journal hits). */
-        unsigned attempts = 0;
         /** Result came from the sweep journal; not re-simulated. */
         bool fromJournal = false;
 
@@ -111,9 +98,8 @@ class SimulationRunner
      * fatals, watchdog stalls — are captured into the matching
      * Outcome instead of terminating the program. Sibling runs are
      * unaffected; their results are bit-identical to a fault-free
-     * batch. Stalls and std::invalid_argument (parameters no machine
-     * can run) fail at once, without retries. Each (benchmark, seed)
-     * workload is released from the cache after its last point.
+     * batch. Each (benchmark, seed) workload is released from the
+     * cache after its last point.
      */
     std::vector<Outcome>
     runCaptured(const std::vector<RunParams> &batch) const;
@@ -128,8 +114,8 @@ class SimulationRunner
 
     /**
      * Generic indexed parallel-for for harnesses whose sweep points
-     * are not expressible as RunParams (custom narrow widths,
-     * scheduler sizes, workload profiles, ...). Calls @p fn for
+     * are not expressible as RunParams (a modified workload profile,
+     * a study that builds no core, ...). Calls @p fn for
      * every index in [0, n), distributing indices across the pool;
      * @p fn must only touch index-owned state. Blocks until all
      * indices are done.
@@ -145,12 +131,11 @@ class SimulationRunner
     void forEach(size_t n, const std::function<void(size_t)> &fn) const;
 
   private:
-    /** Simulate point @p index (the retry loop); journal the first
-     *  success, prefix the error with the point when all fail. */
+    /** Simulate point @p index once; journal a success, prefix a
+     *  failure's error with the point. */
     Outcome runOne(size_t index, const RunParams &params) const;
 
     unsigned nJobs;
-    RetryPolicy retry;
     SweepJournal *journal = nullptr;
 };
 

@@ -59,17 +59,9 @@ coreConfigFor(const RunParams &params)
     cfg.injectFault = params.injectFault;
     cfg.faultSpec = params.faultSpec;
 
-    // Watchdog / budget plumbing. PRI_WATCHDOG_CYCLES overrides the
-    // stall threshold process-wide; 0 disables detection.
     cfg.watchdogEnabled = params.watchdog;
     if (params.watchdogCycles != 0)
         cfg.watchdogCycles = params.watchdogCycles;
-    if (const char *wd = std::getenv("PRI_WATCHDOG_CYCLES")) {
-        const uint64_t v = std::strtoull(wd, nullptr, 10);
-        cfg.watchdogEnabled = v != 0;
-        if (v != 0)
-            cfg.watchdogCycles = v;
-    }
     cfg.cycleBudget = params.cycleBudget;
     return cfg;
 }

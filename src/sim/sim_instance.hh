@@ -31,9 +31,6 @@ class SimInstance
      * Build the machine for @p params on the cached workload of its
      * (benchmark, seed). Throws std::invalid_argument on an unknown
      * benchmark or on parameters coreConfigFor() rejects.
-     *
-     * Does NOT apply the injectTransientFails seam: simulate(), the
-     * retrying caller, throws it before constructing the machine.
      */
     explicit SimInstance(const RunParams &params);
 
@@ -68,12 +65,11 @@ class SimInstance
 };
 
 /**
- * The core config simulate() builds for @p params, with the
- * PRI_WATCHDOG_CYCLES override applied. Throws std::invalid_argument
- * for a point no machine can run: a width other than 4 or 8, no
- * measured instructions, a read-port budget of 1, or no more
- * physical registers than the 32 architected ones (plus the VP
- * reserve under virtual-physical schemes).
+ * The core config simulate() builds for @p params. Throws
+ * std::invalid_argument for a point no machine can run: a width
+ * other than 4 or 8, no measured instructions, a read-port budget
+ * of 1, or no more physical registers than the 32 architected ones
+ * (plus the VP reserve under virtual-physical schemes).
  */
 core::CoreConfig coreConfigFor(const RunParams &params);
 

@@ -73,10 +73,9 @@ paramsHash(const RunParams &params)
     h = hashCombine(h, params.physRegs, params.warmupInsts);
     h = hashCombine(h, params.measureInsts, params.seed);
     // checkGolden changes the persisted goldenChecked field;
-    // checkInvariants / goldenAuditInterval / injectTransientFails
-    // change no byte of the result record (the fuzzer asserts the
-    // transient-retry and audit-interval runs bit-identical) and
-    // are deliberately left out.
+    // checkInvariants / goldenAuditInterval only observe the run,
+    // change no byte of the result record and are deliberately
+    // left out.
     h = hashCombine(h, params.checkGolden ? 1 : 0,
                     params.schedSizeOverride);
     h = hashCombine(h, params.narrowBitsOverride,
@@ -125,12 +124,6 @@ paramsSummary(const RunParams &params)
 RunResult
 simulate(const RunParams &params)
 {
-    if (params.injectTransientFails > params.attempt) {
-        throw TransientError(fmtStr(
-            "injected transient failure (attempt {} of {} planted)",
-            params.attempt + 1, params.injectTransientFails));
-    }
-
     // Arm the forensics trail for this run: the flight recorder
     // restarts empty and carries the params summary so watchdog
     // stalls, panics, and crash dumps name the offending point.

@@ -10,7 +10,6 @@
 #define PRI_SIM_SIMULATION_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 #include "core/core.hh"
@@ -102,23 +101,8 @@ struct RunParams
      */
     faults::FaultSpec faultSpec;
     /**
-     * Test-only transient-failure seam for the runner's retry
-     * policy: simulate() throws TransientError while
-     * attempt < injectTransientFails, then succeeds normally — so
-     * "fails twice, succeeds on the third try" is deterministic.
-     */
-    unsigned injectTransientFails = 0;
-    /**
-     * Retry ordinal (0 = first try), stamped by SimulationRunner on
-     * each attempt. Never affects results or the params hash; read
-     * only by the transient-failure seam above.
-     */
-    unsigned attempt = 0;
-    /**
      * Forward-progress watchdog (see core::CoreConfig). Enabled by
      * default; watchdogCycles 0 takes the built-in default.
-     * PRI_WATCHDOG_CYCLES overrides the threshold process-wide
-     * (0 disables the watchdog entirely).
      */
     bool watchdog = true;
     uint64_t watchdogCycles = 0;
@@ -180,27 +164,16 @@ struct RunResult
 };
 
 /**
- * Thrown by the injectTransientFails test seam; the runner's retry
- * policy treats any failure as retryable, this type just makes the
- * planted ones recognizable in error text.
- */
-class TransientError : public std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
-/**
  * Deterministic digest of every RunParams field that can change the
  * journaled result record (benchmark, machine shape, scheme, seed,
  * budgets, planted faults, read-port budget). Excludes fields that
- * provably cannot — attempt, watchdog settings, timeoutMs,
- * checkInvariants, goldenAuditInterval, injectTransientFails — so a
- * journaled result stays valid across retries, machines, and
- * observation settings, and adding a presentation knob to a harness
- * never forks journal keys. checkGolden *is* hashed: it changes the
- * persisted RunResult.goldenChecked field, so a checked request must
- * never be satisfied by an unchecked run's record. Keys the sweep
- * journal.
+ * provably cannot — watchdog settings, timeoutMs, checkInvariants,
+ * goldenAuditInterval — so a journaled result stays valid across
+ * machines and observation settings, and adding a presentation knob
+ * to a harness never forks journal keys. checkGolden *is* hashed: it
+ * changes the persisted RunResult.goldenChecked field, so a checked
+ * request must never be satisfied by an unchecked run's record. Keys
+ * the sweep journal.
  */
 uint64_t paramsHash(const RunParams &params);
 

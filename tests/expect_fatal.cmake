@@ -1,7 +1,10 @@
 # Run EXE with the space-separated ARGS and require what a rejected
 # command line must produce: a non-zero exit and a "fatal:" line on
-# stderr (not an abort, and not a run of some other machine).
-#   cmake -DEXE=<binary> -DARGS="<args>" -P expect_fatal.cmake
+# stderr (not an abort, and not a run of some other machine). With
+# MATCH, stderr must also match that regex, so the case fails for
+# the reason it names and not, say, a stall of a mis-parsed run.
+#   cmake -DEXE=<binary> -DARGS="<args>" [-DMATCH=<regex>]
+#         -P expect_fatal.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${EXE}" ${args}
     RESULT_VARIABLE status
@@ -15,4 +18,7 @@ if(NOT status MATCHES "^[0-9]+$")
 endif()
 if(NOT err MATCHES "fatal:")
     message(FATAL_ERROR "'${ARGS}' printed no 'fatal:' line:\n${err}")
+endif()
+if(DEFINED MATCH AND NOT err MATCHES "${MATCH}")
+    message(FATAL_ERROR "'${ARGS}' failed without '${MATCH}':\n${err}")
 endif()

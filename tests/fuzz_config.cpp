@@ -43,8 +43,9 @@ drawPoint(uint64_t seed, uint64_t index)
     // One salt per axis: axes stay independent, and adding an axis
     // never reshuffles the others. Salts 7, 9 and 13 are retired
     // (they drew the checkpoint, wakeup and front-end implementation
-    // switches); never reuse them, or old seed/index replays would
-    // silently denote different points.
+    // switches), and so are 11 and 12 (a retry policy's attempt
+    // budget and planted transient failures); never reuse them, or
+    // old seed/index replays would silently denote different points.
     auto pick = [&](uint64_t salt, uint64_t bound) {
         return hashCombine(seed, index, salt) % bound;
     };
@@ -84,8 +85,7 @@ drawPoint(uint64_t seed, uint64_t index)
     // it on/off must never change a single golden-checked commit;
     // the cycle budget turns any wedge the fuzzer ever finds into a
     // structured per-point failure instead of a hung CI job. (Salts
-    // 11/12 belong to the retry-policy test below, salts 16/17 to
-    // the fault-campaign axis; salt 14 is retired.)
+    // 16/17 belong to the fault-campaign axis; salt 14 is retired.)
     p.watchdog = pick(10, 2) != 0;
     // Read-port arbitration axis: a binding budget reorders issue,
     // so every limited draw cross-checks the arbitrated machine
@@ -123,43 +123,26 @@ TEST(ConfigFuzz, RandomConfigsStayGoldenClean)
 }
 
 /**
- * Same grid through the fault-tolerant runner, with a fuzzed retry
- * policy and planted transient failures that always stay within the
- * attempt budget: every point must come back ok, on the expected
- * attempt, golden-clean, and bit-identical to a direct simulate().
+ * Same grid through the fault-tolerant runner: every point must come
+ * back ok, golden-clean, and bit-identical to a direct simulate().
  */
-TEST(ConfigFuzz, RetryPolicyConvergesGoldenClean)
+TEST(ConfigFuzz, RunnerMatchesDirectGoldenClean)
 {
     const uint64_t seed = envOr("PRI_FUZZ_SEED", 1);
     const uint64_t runs = envOr("PRI_FUZZ_RUNS", 6);
     for (uint64_t i = 0; i < runs; ++i) {
-        auto p = drawPoint(seed, i);
-        const auto pick = [&](uint64_t salt, uint64_t bound) {
-            return hashCombine(seed, i, salt) % bound;
-        };
-        const unsigned max_attempts =
-            1 + static_cast<unsigned>(pick(11, 3));
-        p.injectTransientFails =
-            static_cast<unsigned>(pick(12, max_attempts));
+        const auto p = drawPoint(seed, i);
         SCOPED_TRACE("PRI_FUZZ_SEED=" + std::to_string(seed) +
                      " index=" + std::to_string(i) + ": " +
-                     p.benchmark + " attempts " +
-                     std::to_string(max_attempts) + " transients " +
-                     std::to_string(p.injectTransientFails));
+                     p.benchmark);
 
-        sim::SimulationRunner runner(1);
-        runner.setRetryPolicy({max_attempts, 0});
-        const auto outcomes = runner.runCaptured({p});
+        const auto outcomes = sim::SimulationRunner(1).runCaptured({p});
         ASSERT_EQ(outcomes.size(), 1u);
         ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].error;
-        EXPECT_EQ(outcomes[0].attempts,
-                  p.injectTransientFails + 1);
 
         const auto &r = outcomes[0].result;
         EXPECT_EQ(r.goldenChecked, r.committedTotal);
-        auto direct = p;
-        direct.injectTransientFails = 0;
-        EXPECT_EQ(r.report, sim::simulate(direct).report);
+        EXPECT_EQ(r.report, sim::simulate(p).report);
     }
 }
 

@@ -3,8 +3,9 @@
  * Tests for the parallel experiment runner: results must be
  * bit-identical to direct serial simulate() calls regardless of the
  * worker count, in submission order, across repeated invocations;
- * exceptions from workers must propagate or be captured per-run, and
- * a point no machine can run fails alone, without retries.
+ * exceptions from workers must propagate or be captured per-run, a
+ * point no machine can run fails alone, and every failure repeats
+ * byte for byte, so the runner simulates each point once.
  *
  * Also the result cache: the sweep journal serves completed points,
  * survives torn writes and concurrent lookups beside appends, and
@@ -305,55 +306,54 @@ TEST(SimulationRunner, InvalidParamsThrow)
     }
 }
 
-/** A bad point in a batch fails alone, on its first attempt: the
- *  retry policy does not re-run a point that cannot run. */
+/** A bad point in a batch fails alone; its siblings still run. */
 TEST(SimulationRunner, InvalidPointFailsOnlyItself)
 {
     auto batch = smallBatch();
     batch[2].width = 5;
 
-    SimulationRunner runner(4);
-    runner.setRetryPolicy({3, 0});
-    const auto outcomes = runner.runCaptured(batch);
+    const auto outcomes = SimulationRunner(4).runCaptured(batch);
     ASSERT_FALSE(outcomes[2].ok());
     EXPECT_FALSE(outcomes[2].stalled);
-    EXPECT_EQ(outcomes[2].attempts, 1u);
     EXPECT_EQ(outcomes[2].error.find("run 2 (equake / Base / w5 / "),
               0u);
     EXPECT_NE(outcomes[2].error.find("width 5 (must be 4 or 8)"),
               std::string::npos);
     for (size_t i : {size_t{0}, size_t{1}, size_t{3}}) {
         ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-        EXPECT_EQ(outcomes[i].attempts, 1u);
         expectIdentical(outcomes[i].result, simulate(batch[i]));
     }
 }
 
-/** Transient failures within the attempt budget retry to success;
- *  beyond it the last error is reported. */
-TEST(SimulationRunner, RetriesTransientFailures)
+/** The premise that makes a retry pointless: the simulator is
+ *  deterministic, so a golden panic, a watchdog stall and an invalid
+ *  point fail again with the same error text, flight-recorder dump
+ *  included, and a healthy point beside them succeeds again with the
+ *  same result. */
+TEST(SimulationRunner, FailuresRepeatExactly)
 {
     auto batch = smallBatch();
-    batch[1].injectTransientFails = 2;
+    batch[0].checkGolden = true;
+    batch[0].injectFault = core::InjectedFault::CommitWrongPath;
+    batch[1].injectFault = core::InjectedFault::WedgeScheduler;
+    batch[1].watchdogCycles = 30000;
+    batch[1].measureInsts = 50000;
+    batch[2].width = 5;
 
-    SimulationRunner runner(2);
-    runner.setRetryPolicy({3, 0});
-    const auto outcomes = runner.runCaptured(batch);
-    ASSERT_TRUE(outcomes[1].ok()) << outcomes[1].error;
-    EXPECT_EQ(outcomes[1].attempts, 3u);
-    EXPECT_EQ(outcomes[0].attempts, 1u);
-    expectIdentical(outcomes[1].result, [&] {
-        auto p = batch[1];
-        p.injectTransientFails = 0;
-        return simulate(p);
-    }());
-
-    SimulationRunner strict(2);
-    strict.setRetryPolicy({2, 0});
-    const auto failed = strict.runCaptured(batch);
-    ASSERT_FALSE(failed[1].ok());
-    EXPECT_EQ(failed[1].attempts, 2u);
-    EXPECT_NE(failed[1].error.find("transient"), std::string::npos);
+    const SimulationRunner runner(2);
+    const auto first = runner.runCaptured(batch);
+    const auto again = runner.runCaptured(batch);
+    ASSERT_EQ(first.size(), batch.size());
+    ASSERT_EQ(again.size(), batch.size());
+    EXPECT_NE(first[0].error.find("panic"), std::string::npos);
+    EXPECT_TRUE(first[1].stalled);
+    EXPECT_FALSE(first[2].ok());
+    ASSERT_TRUE(first[3].ok()) << first[3].error;
+    for (size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(first[i].error, again[i].error) << "point " << i;
+        EXPECT_EQ(first[i].stalled, again[i].stalled) << "point " << i;
+    }
+    expectIdentical(first[3].result, again[3].result);
 }
 
 /** Journal round-trip: a second runner over the same batch serves
@@ -374,7 +374,6 @@ TEST(SimulationRunner, JournalServesCompletedPoints)
         for (const auto &o : fresh) {
             ASSERT_TRUE(o.ok()) << o.error;
             EXPECT_FALSE(o.fromJournal);
-            EXPECT_EQ(o.attempts, 1u);
         }
         EXPECT_EQ(journal.appendedPoints(), batch.size());
     }
@@ -387,7 +386,6 @@ TEST(SimulationRunner, JournalServesCompletedPoints)
     for (size_t i = 0; i < batch.size(); ++i) {
         ASSERT_TRUE(cached[i].ok()) << cached[i].error;
         EXPECT_TRUE(cached[i].fromJournal);
-        EXPECT_EQ(cached[i].attempts, 0u);
         expectIdentical(cached[i].result, simulate(batch[i]));
     }
     std::remove(path.c_str());
@@ -537,21 +535,19 @@ TEST(SimulationRunner, JournalFirstLineWins)
     std::remove(path.c_str());
 }
 
-/** The journal key ignores attempt/watchdog/timeout knobs and the
- *  observation-only settings (invariant checks, audit cadence, the
- *  transient-failure seam) but distinguishes everything that
- *  changes the persisted result record. */
+/** The journal key ignores watchdog/timeout knobs and the
+ *  observation-only settings (invariant checks, audit cadence) but
+ *  distinguishes everything that changes the persisted result
+ *  record. */
 TEST(SimulationRunner, ParamsHashSeparatesResultsOnly)
 {
     RunParams a;
     RunParams b = a;
-    b.attempt = 3;
     b.watchdog = false;
     b.watchdogCycles = 777;
     b.timeoutMs = 123;
     b.checkInvariants = true;
     b.goldenAuditInterval = 16;
-    b.injectTransientFails = 2;
     EXPECT_EQ(paramsHash(a), paramsHash(b));
 
     for (auto mutate : std::vector<void (*)(RunParams &)>{
