@@ -15,7 +15,7 @@
  * seed) point out across a sim::SimulationRunner thread pool
  * (--jobs N, default hardware_concurrency) and memoizes the
  * seed-averaged results; the subsequent runOne() calls in the
- * printing code hit the cache, so the emitted tables are
+ * printing code only read the cache, so the emitted tables are
  * byte-identical to serial execution (--jobs 1).
  *
  * With --journal FILE every simulated point is persisted to a sweep
@@ -29,12 +29,14 @@
 #define PRI_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <initializer_list>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -48,7 +50,6 @@
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
 #include "workload/profile.hh"
-#include "workload/trace/trace_cache.hh"
 
 namespace pri::bench
 {
@@ -83,7 +84,7 @@ namespace detail
 {
 
 /** Process-wide resilience state the option parser arms and the
- *  prefetcher / runOne() / fig_fault_avf consume: the per-run
+ *  prefetcher / seedMeanIpc() / fig_fault_avf consume: the per-run
  *  wall-clock budget and (when --journal is given) the process's
  *  one sweep journal. */
 struct Resilience
@@ -228,60 +229,35 @@ makeRunner(unsigned jobs)
     return runner;
 }
 
-/** Average per-seed results exactly as the serial harnesses always
- *  have (first result carries the labels and the report). */
+/** Average per-seed results: the counts add up, the rates are
+ *  summed in seed order and then scaled by 1/n, and the labels,
+ *  archSig and report are the first seed's. */
 inline sim::RunResult
-averageResults(const std::vector<sim::RunResult> &rs)
+averageResults(std::span<const sim::RunResult> rs)
 {
-    sim::RunResult acc;
-    unsigned n = 0;
-    for (const auto &r : rs) {
-        if (n == 0) {
-            acc = r;
-        } else {
-            acc.ipc += r.ipc;
-            acc.cycles += r.cycles;
-            acc.insts += r.insts;
-            acc.avgIntOccupancy += r.avgIntOccupancy;
-            acc.avgFpOccupancy += r.avgFpOccupancy;
-            acc.lifeAllocToWrite += r.lifeAllocToWrite;
-            acc.lifeWriteToLastRead += r.lifeWriteToLastRead;
-            acc.lifeLastReadToRelease += r.lifeLastReadToRelease;
-            acc.branchMispredictRate += r.branchMispredictRate;
-            acc.dl1MissRate += r.dl1MissRate;
-            acc.priEarlyFrees += r.priEarlyFrees;
-            acc.erEarlyFrees += r.erEarlyFrees;
-            acc.inlinedFrac += r.inlinedFrac;
-            acc.portStallsPerKInst += r.portStallsPerKInst;
-            acc.portInlineBypassFrac += r.portInlineBypassFrac;
-        }
-        ++n;
+    sim::RunResult acc = rs.front();
+    for (const auto &r : rs.subspan(1)) {
+        for (const auto &field : sim::kResultCounts)
+            acc.*field.member += r.*field.member;
+        for (const auto &field : sim::kResultRates)
+            acc.*field.member += r.*field.member;
     }
-    const double inv = 1.0 / n;
-    acc.ipc *= inv;
-    acc.avgIntOccupancy *= inv;
-    acc.avgFpOccupancy *= inv;
-    acc.lifeAllocToWrite *= inv;
-    acc.lifeWriteToLastRead *= inv;
-    acc.lifeLastReadToRelease *= inv;
-    acc.branchMispredictRate *= inv;
-    acc.dl1MissRate *= inv;
-    acc.priEarlyFrees *= inv;
-    acc.erEarlyFrees *= inv;
-    acc.inlinedFrac *= inv;
-    acc.portStallsPerKInst *= inv;
-    acc.portInlineBypassFrac *= inv;
+    const double inv = 1.0 / static_cast<double>(rs.size());
+    for (const auto &field : sim::kResultRates)
+        acc.*field.member *= inv;
     return acc;
 }
 
-inline const sim::RunResult &
-cacheInsert(const PointKey &key, sim::RunResult avg)
+/** Write `, "name": value` to @p f: an integer in decimal, a double
+ *  in its shortest round-trip form. */
+template <class T>
+inline void
+writeJsonField(std::FILE *f, const char *name, T value)
 {
-    auto [it, inserted] =
-        resultCache().emplace(key, std::move(avg));
-    if (inserted)
-        jsonLog().emplace_back(it->first, &it->second);
-    return it->second;
+    char buf[32];
+    const char *end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    std::fprintf(f, ", \"%s\": %.*s", name,
+                 static_cast<int>(end - buf), buf);
 }
 
 } // namespace detail
@@ -294,7 +270,6 @@ cacheInsert(const PointKey &key, sim::RunResult avg)
 inline void
 prefetchPoints(const std::vector<Point> &points, const Options &opts)
 {
-    std::vector<Point> todo;
     std::vector<detail::PointKey> keys;
     std::vector<sim::RunParams> batch;
     for (const auto &pt : points) {
@@ -303,7 +278,6 @@ prefetchPoints(const std::vector<Point> &points, const Options &opts)
             continue;
         if (std::find(keys.begin(), keys.end(), key) != keys.end())
             continue;
-        todo.push_back(pt);
         keys.push_back(key);
         for (uint64_t seed : kSeeds)
             batch.push_back(
@@ -315,12 +289,13 @@ prefetchPoints(const std::vector<Point> &points, const Options &opts)
     const auto results = detail::makeRunner(opts.jobs).run(batch);
 
     constexpr size_t n_seeds = std::size(kSeeds);
-    for (size_t i = 0; i < todo.size(); ++i) {
-        std::vector<sim::RunResult> per_seed(
-            results.begin() + i * n_seeds,
-            results.begin() + (i + 1) * n_seeds);
-        detail::cacheInsert(keys[i],
-                            detail::averageResults(per_seed));
+    for (size_t i = 0; i < keys.size(); ++i) {
+        const std::span per_seed(results.data() + i * n_seeds, n_seeds);
+        const auto it =
+            detail::resultCache()
+                .emplace(keys[i], detail::averageResults(per_seed))
+                .first;
+        detail::jsonLog().emplace_back(it->first, &it->second);
     }
 }
 
@@ -415,39 +390,31 @@ runSweepGrid(const SweepGrid &grid, const Options &opts,
     return 0;
 }
 
-/** Run one configuration, averaged over kSeeds (memoized). */
-inline sim::RunResult
+/** One configuration's seed average, which the harness must have
+ *  prefetched: a miss means its printing code asks for a point its
+ *  grid left out, and panics. */
+inline const sim::RunResult &
 runOne(const std::string &bench, unsigned width, sim::Scheme scheme,
        const Budget &budget, unsigned pregs = 64, unsigned ports = 0)
 {
-    const Point pt{bench, width, scheme, pregs, ports};
-    const auto key = detail::keyOf(pt, budget);
-    if (auto it = detail::resultCache().find(key);
-        it != detail::resultCache().end()) {
-        return it->second;
+    const auto it = detail::resultCache().find(
+        detail::keyOf(Point{bench, width, scheme, pregs, ports}, budget));
+    if (it == detail::resultCache().end()) {
+        panic("point {} / {} / {}-wide / {} PR / {} read ports / "
+              "{}+{} insts was not prefetched",
+              bench, sim::schemeName(scheme), width, pregs, ports,
+              budget.warmup, budget.measure);
     }
-    std::vector<sim::RunParams> batch;
-    batch.reserve(std::size(kSeeds));
-    for (uint64_t seed : kSeeds)
-        batch.push_back(detail::paramsFor(pt, budget, seed));
-    // Through the harness runner rather than bare simulate():
-    // cache misses in the printing code get the same journal
-    // handling as prefetched points.
-    const auto per_seed = detail::makeRunner(1).run(batch);
-    return detail::cacheInsert(
-        key, detail::averageResults(per_seed));
+    return it->second;
 }
 
 /**
  * Write every point evaluated so far to opts.jsonPath (no-op
- * without --json) as {"points": [...], "traceCache": {...}}. Each
- * point record carries the full grid coordinates plus the headline
- * metrics, so future PRs can diff figure data mechanically; the
- * traceCache section reports the run's front-end trace compilation
- * and sharing statistics (machine-dependent only in that the op
- * counters scale with how much this invocation simulated). Its
- * traceBytes is what is resident when the file is written: 0 once
- * every sweep has released its workloads.
+ * without --json) as {"points": [...]}, in evaluation order. Each
+ * record holds the point's grid coordinates, then every
+ * sim::kResultCounts field (seed totals) and sim::kResultRates field
+ * (seed means, exact), so figure data can be diffed mechanically
+ * across revisions. A file that cannot be written is fatal.
  */
 inline void
 writeJson(const Options &opts)
@@ -455,13 +422,10 @@ writeJson(const Options &opts)
     if (opts.jsonPath.empty())
         return;
     std::FILE *f = std::fopen(opts.jsonPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n",
-                     opts.jsonPath.c_str());
-        return;
-    }
+    if (f == nullptr)
+        fatal("cannot write {}", opts.jsonPath);
     std::fprintf(f, "{\n\"points\": [\n");
-    bool first = true;
+    const char *sep = "";
     for (const auto &[key, r] : detail::jsonLog()) {
         const auto &[bench, width, scheme, pregs, warmup, measure,
                      ports] = key;
@@ -469,51 +433,22 @@ writeJson(const Options &opts)
             f,
             "%s  {\"benchmark\": \"%s\", \"scheme\": \"%s\", "
             "\"width\": %u, \"pregs\": %u, \"readPorts\": %u, "
-            "\"warmup\": %llu, \"measure\": %llu, "
-            "\"ipc\": %.6f, \"cycles\": %llu, \"insts\": %llu, "
-            "\"avgIntOccupancy\": %.4f, \"avgFpOccupancy\": %.4f, "
-            "\"lifeAllocToWrite\": %.4f, "
-            "\"lifeWriteToLastRead\": %.4f, "
-            "\"lifeLastReadToRelease\": %.4f, "
-            "\"branchMispredictRate\": %.6f, "
-            "\"dl1MissRate\": %.6f, \"priEarlyFrees\": %.4f, "
-            "\"erEarlyFrees\": %.4f, \"inlinedFrac\": %.6f, "
-            "\"portStallsPerKInst\": %.4f, "
-            "\"portInlineBypassFrac\": %.6f}",
-            first ? "" : ",\n", bench.c_str(),
-            sim::schemeName(static_cast<sim::Scheme>(scheme)),
-            width, pregs, ports,
-            static_cast<unsigned long long>(warmup),
-            static_cast<unsigned long long>(measure), r->ipc,
-            static_cast<unsigned long long>(r->cycles),
-            static_cast<unsigned long long>(r->insts),
-            r->avgIntOccupancy, r->avgFpOccupancy,
-            r->lifeAllocToWrite, r->lifeWriteToLastRead,
-            r->lifeLastReadToRelease, r->branchMispredictRate,
-            r->dl1MissRate, r->priEarlyFrees, r->erEarlyFrees,
-            r->inlinedFrac, r->portStallsPerKInst,
-            r->portInlineBypassFrac);
-        first = false;
+            "\"warmup\": %llu, \"measure\": %llu",
+            sep, bench.c_str(),
+            sim::schemeName(static_cast<sim::Scheme>(scheme)), width,
+            pregs, ports, static_cast<unsigned long long>(warmup),
+            static_cast<unsigned long long>(measure));
+        for (const auto &field : sim::kResultCounts)
+            detail::writeJsonField(f, field.name, r->*field.member);
+        for (const auto &field : sim::kResultRates)
+            detail::writeJsonField(f, field.name, r->*field.member);
+        std::fprintf(f, "}");
+        sep = ",\n";
     }
-    const auto tc = workload::trace::TraceCache::global().stats();
-    std::fprintf(
-        f,
-        "\n],\n"
-        "\"traceCache\": {\"programsCompiled\": %llu, "
-        "\"programsShared\": %llu, \"blocksCompiled\": %llu, "
-        "\"microOps\": %llu, \"traceBytes\": %llu, "
-        "\"opsReplayed\": %llu, \"opsLegacyDecoded\": %llu, "
-        "\"replayHitRate\": %.4f}\n"
-        "}\n",
-        static_cast<unsigned long long>(tc.programsCompiled),
-        static_cast<unsigned long long>(tc.programsShared),
-        static_cast<unsigned long long>(tc.blocksCompiled),
-        static_cast<unsigned long long>(tc.microOps),
-        static_cast<unsigned long long>(tc.traceBytes),
-        static_cast<unsigned long long>(tc.opsReplayed),
-        static_cast<unsigned long long>(tc.opsLegacyDecoded),
-        tc.replayHitRate());
-    std::fclose(f);
+    std::fprintf(f, "\n]\n}\n");
+    const bool failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || failed)
+        fatal("cannot write {}", opts.jsonPath);
     std::printf("wrote %zu experiment points to %s\n",
                 detail::jsonLog().size(), opts.jsonPath.c_str());
 }
@@ -560,6 +495,49 @@ fpBenchmarks()
     for (const auto &p : workload::specFpProfiles())
         v.push_back(p.name);
     return v;
+}
+
+/**
+ * Figures 10 and 12: the IPC speedup over Base of every other
+ * scheme in sim::kAllSchemes, per benchmark and geomean, at 4 and 8
+ * wide. Returns the harness exit status.
+ */
+inline int
+runSpeedupFigure(const char *banner,
+                 const std::vector<std::string> &benches,
+                 const Options &opts)
+{
+    const auto panel = std::span(sim::kAllSchemes).subspan(1);
+    const auto emit_width = [&](unsigned width) {
+        std::printf("width %u  (IPC speedup over Base)\n", width);
+        std::printf("%-10s", "bench");
+        for (auto s : panel)
+            std::printf(" %22s", sim::schemeName(s));
+        std::printf("\n");
+
+        std::vector<std::vector<double>> cols(panel.size());
+        for (const auto &name : benches) {
+            const double base =
+                runOne(name, width, sim::Scheme::Base, opts.budget).ipc;
+            std::printf("%-10s", name.c_str());
+            for (size_t i = 0; i < panel.size(); ++i) {
+                const double sp =
+                    runOne(name, width, panel[i], opts.budget).ipc / base;
+                cols[i].push_back(sp);
+                std::printf(" %22.3f", sp);
+            }
+            std::printf("\n");
+        }
+        std::printf("%-10s", "geomean");
+        for (const auto &col : cols)
+            std::printf(" %22.3f", geomean(col));
+        std::printf("\n\n");
+    };
+    return runSweepGrid(
+        SweepGrid{banner, benches, {4, 8},
+                  std::vector<sim::Scheme>(std::begin(sim::kAllSchemes),
+                                           std::end(sim::kAllSchemes))},
+        opts, emit_width);
 }
 
 } // namespace pri::bench

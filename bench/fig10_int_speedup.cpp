@@ -7,74 +7,16 @@
  * all as IPC speedup over the Base machine at 64+64 registers.
  */
 
-#include <cstdio>
-
 #include "bench_util.hh"
-
-namespace
-{
-
-const pri::sim::Scheme kPanel[] = {
-    pri::sim::Scheme::EarlyRelease,
-    pri::sim::Scheme::PriRefcountCkptcount,
-    pri::sim::Scheme::PriRefcountLazy,
-    pri::sim::Scheme::PriIdealCkptcount,
-    pri::sim::Scheme::PriIdealLazy,
-    pri::sim::Scheme::PriPlusEr,
-    pri::sim::Scheme::InfinitePregs,
-};
-
-void
-runPanel(unsigned width, const std::vector<std::string> &benches,
-         const pri::bench::Options &opts)
-{
-    using namespace pri;
-    const auto &budget = opts.budget;
-    std::printf("width %u  (IPC speedup over Base)\n", width);
-    std::printf("%-10s", "bench");
-    for (auto s : kPanel)
-        std::printf(" %22s", sim::schemeName(s));
-    std::printf("\n");
-
-    std::vector<std::vector<double>> cols(std::size(kPanel));
-    for (const auto &name : benches) {
-        const auto base =
-            bench::runOne(name, width, sim::Scheme::Base, budget);
-        std::printf("%-10s", name.c_str());
-        for (size_t i = 0; i < std::size(kPanel); ++i) {
-            const auto r =
-                bench::runOne(name, width, kPanel[i], budget);
-            const double sp = r.ipc / base.ipc;
-            cols[i].push_back(sp);
-            std::printf(" %22.3f", sp);
-        }
-        std::printf("\n");
-    }
-    std::printf("%-10s", "geomean");
-    for (size_t i = 0; i < std::size(kPanel); ++i)
-        std::printf(" %22.3f", bench::geomean(cols[i]));
-    std::printf("\n\n");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace pri;
-    const auto opts = bench::parseOptions(argc, argv);
-    std::vector<sim::Scheme> schemes{sim::Scheme::Base};
-    schemes.insert(schemes.end(), std::begin(kPanel),
-                   std::end(kPanel));
-    return bench::runSweepGrid(
-        bench::SweepGrid{
-            "=== Figure 10: PRI speedup, integer benchmarks "
-            "===\n(paper averages: ER +3.6%, PRI ref+ckpt "
-            "+7.3% @4w / +14.8% @8w, PRI+ER +8.3%/+17.5%, "
-            "InfPR +11%/+39%)\n\n",
-            bench::intBenchmarks(),
-            {4, 8},
-            schemes},
-        opts,
-        [&](unsigned w) { runPanel(w, bench::intBenchmarks(), opts); });
+    return bench::runSpeedupFigure(
+        "=== Figure 10: PRI speedup, integer benchmarks "
+        "===\n(paper averages: ER +3.6%, PRI ref+ckpt "
+        "+7.3% @4w / +14.8% @8w, PRI+ER +8.3%/+17.5%, "
+        "InfPR +11%/+39%)\n\n",
+        bench::intBenchmarks(), bench::parseOptions(argc, argv));
 }

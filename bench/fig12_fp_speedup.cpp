@@ -6,72 +6,16 @@
  * ones, which roughly half of all FP operands satisfy.
  */
 
-#include <cstdio>
-
 #include "bench_util.hh"
-
-namespace
-{
-
-const pri::sim::Scheme kPanel[] = {
-    pri::sim::Scheme::EarlyRelease,
-    pri::sim::Scheme::PriRefcountCkptcount,
-    pri::sim::Scheme::PriRefcountLazy,
-    pri::sim::Scheme::PriIdealCkptcount,
-    pri::sim::Scheme::PriIdealLazy,
-    pri::sim::Scheme::PriPlusEr,
-    pri::sim::Scheme::InfinitePregs,
-};
-
-void
-runPanel(unsigned width, const pri::bench::Options &opts)
-{
-    using namespace pri;
-    const auto &budget = opts.budget;
-    std::printf("width %u  (IPC speedup over Base)\n", width);
-    std::printf("%-10s", "bench");
-    for (auto s : kPanel)
-        std::printf(" %22s", sim::schemeName(s));
-    std::printf("\n");
-
-    std::vector<std::vector<double>> cols(std::size(kPanel));
-    for (const auto &name : bench::fpBenchmarks()) {
-        const auto base =
-            bench::runOne(name, width, sim::Scheme::Base, budget);
-        std::printf("%-10s", name.c_str());
-        for (size_t i = 0; i < std::size(kPanel); ++i) {
-            const auto r =
-                bench::runOne(name, width, kPanel[i], budget);
-            const double sp = r.ipc / base.ipc;
-            cols[i].push_back(sp);
-            std::printf(" %22.3f", sp);
-        }
-        std::printf("\n");
-    }
-    std::printf("%-10s", "geomean");
-    for (size_t i = 0; i < std::size(kPanel); ++i)
-        std::printf(" %22.3f", bench::geomean(cols[i]));
-    std::printf("\n\n");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace pri;
-    const auto opts = bench::parseOptions(argc, argv);
-    std::vector<sim::Scheme> schemes{sim::Scheme::Base};
-    schemes.insert(schemes.end(), std::begin(kPanel),
-                   std::end(kPanel));
-    return bench::runSweepGrid(
-        bench::SweepGrid{
-            "=== Figure 12: PRI speedup, floating point "
-            "benchmarks ===\n(paper averages: PRI ref+ckpt "
-            "+12.0% @4w / +25.2% @8w, PRI+ER "
-            "+14.3%/+35.3%)\n\n",
-            bench::fpBenchmarks(),
-            {4, 8},
-            schemes},
-        opts, [&](unsigned w) { runPanel(w, opts); });
+    return bench::runSpeedupFigure(
+        "=== Figure 12: PRI speedup, floating point "
+        "benchmarks ===\n(paper averages: PRI ref+ckpt "
+        "+12.0% @4w / +25.2% @8w, PRI+ER "
+        "+14.3%/+35.3%)\n\n",
+        bench::fpBenchmarks(), bench::parseOptions(argc, argv));
 }

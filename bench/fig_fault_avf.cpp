@@ -61,10 +61,8 @@ writeFaultsJson(const std::string &path,
                 const pri::faults::CampaignTable &table)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
+    if (f == nullptr)
+        pri::fatal("cannot write {}", path);
     std::fprintf(
         f,
         "{\n\"campaign\": {\"benchmark\": \"%s\", \"width\": %u, "
@@ -100,7 +98,9 @@ writeFaultsJson(const std::string &path,
         }
     }
     std::fprintf(f, "\n]\n}\n");
-    std::fclose(f);
+    const bool failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || failed)
+        pri::fatal("cannot write {}", path);
     std::printf("wrote %zu campaign cells to %s\n",
                 table.schemes.size() * table.sites.size(),
                 path.c_str());

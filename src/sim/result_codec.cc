@@ -13,35 +13,10 @@ namespace pri::sim::codec
 namespace
 {
 
-/** The u64 fields, in line order (fields 5–8). */
-constexpr uint64_t RunResult::*kU64Fields[] = {
-    &RunResult::cycles, &RunResult::insts, &RunResult::committedTotal,
-    &RunResult::goldenChecked,
-};
-
-/** The hexfloat fields, in line order (fields 9–21). */
-constexpr double RunResult::*kF64Fields[] = {
-    &RunResult::ipc,
-    &RunResult::avgIntOccupancy,
-    &RunResult::avgFpOccupancy,
-    &RunResult::lifeAllocToWrite,
-    &RunResult::lifeWriteToLastRead,
-    &RunResult::lifeLastReadToRelease,
-    &RunResult::branchMispredictRate,
-    &RunResult::dl1MissRate,
-    &RunResult::priEarlyFrees,
-    &RunResult::erEarlyFrees,
-    &RunResult::inlinedFrac,
-    &RunResult::portStallsPerKInst,
-    &RunResult::portInlineBypassFrac,
-};
-
-constexpr size_t kFirstU64 = 5;
-constexpr size_t kFirstF64 = kFirstU64 + std::size(kU64Fields);
-constexpr size_t kArchSig = kFirstF64 + std::size(kF64Fields);
+constexpr size_t kFirstCount = 5;
+constexpr size_t kFirstRate = kFirstCount + std::size(kResultCounts);
+constexpr size_t kArchSig = kFirstRate + std::size(kResultRates);
 constexpr size_t kReport = kArchSig + 1;
-static_assert(kReport + 2 == kResultFields,
-              "PRIJ3 number tables must match the field list");
 
 using Fields = std::array<std::string_view, kResultFields>;
 
@@ -179,12 +154,12 @@ parseNumbers(const Fields &f, uint64_t &key, RunResult &r)
         return false;
     }
     r.width = static_cast<unsigned>(width);
-    for (size_t i = 0; i < std::size(kU64Fields); ++i) {
-        if (!parseU64(f[kFirstU64 + i], r.*kU64Fields[i]))
+    for (size_t i = 0; i < std::size(kResultCounts); ++i) {
+        if (!parseU64(f[kFirstCount + i], r.*kResultCounts[i].member))
             return false;
     }
-    for (size_t i = 0; i < std::size(kF64Fields); ++i) {
-        if (!parseF64(f[kFirstF64 + i], r.*kF64Fields[i]))
+    for (size_t i = 0; i < std::size(kResultRates); ++i) {
+        if (!parseF64(f[kFirstRate + i], r.*kResultRates[i].member))
             return false;
     }
     return parseHex64(f[kArchSig], r.archSig);
@@ -249,10 +224,10 @@ formatResultLine(uint64_t key, const RunResult &r)
     b.add(r.benchmark);
     b.add(r.scheme);
     b.addU64(r.width);
-    for (const auto field : kU64Fields)
-        b.addU64(r.*field);
-    for (const auto field : kF64Fields)
-        b.addF64(r.*field);
+    for (const auto &field : kResultCounts)
+        b.addU64(r.*field.member);
+    for (const auto &field : kResultRates)
+        b.addF64(r.*field.member);
     b.addHex64(r.archSig);
     b.add(escape(r.report));
     return b.finish();

@@ -20,15 +20,17 @@
  * or [-]inf/[-]nan with nothing after them. A corrupted line is a
  * miss that reruns, never a wrong cache hit.
  *
- * Changing the field list requires bumping the tag, which is the
+ * The metrics come from sim::kResultCounts and sim::kResultRates.
+ * Changing either table requires bumping the tag, which is the
  * version stamp that makes old journals miss cleanly, and updating
- * the pinned list below (tests/test_runner.cpp asserts it).
+ * the list tests/test_runner.cpp pins.
  */
 
 #ifndef PRI_SIM_RESULT_CODEC_HH
 #define PRI_SIM_RESULT_CODEC_HH
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 
@@ -41,27 +43,11 @@ namespace pri::sim::codec
  *  changes (invalidates existing journals cleanly). */
 constexpr const char *kResultTag = "PRIJ3";
 
-/** Result-line fields: tag, key, benchmark, scheme, width, 4 u64,
- *  13 doubles, archSig, report, "." sentinel. */
-constexpr size_t kResultFields = 25;
-
-/** The pinned PRIJ3 field list, in line order. A new RunResult
- *  field means: append here, bump kResultTag, extend the
- *  format/parse pair — the static_assert and the field-list unit
- *  test force all four to move together. */
-constexpr const char *kResultFieldNames[] = {
-    "tag", "paramsHash", "benchmark", "scheme", "width",
-    "cycles", "insts", "committedTotal", "goldenChecked",
-    "ipc", "avgIntOccupancy", "avgFpOccupancy",
-    "lifeAllocToWrite", "lifeWriteToLastRead",
-    "lifeLastReadToRelease", "branchMispredictRate", "dl1MissRate",
-    "priEarlyFrees", "erEarlyFrees", "inlinedFrac",
-    "portStallsPerKInst", "portInlineBypassFrac", "archSig",
-    "report", "sentinel",
-};
-static_assert(sizeof(kResultFieldNames) / sizeof(const char *) ==
-                  kResultFields,
-              "PRIJ3 field list and field count must move together");
+/** Result-line fields: tag, key, benchmark, scheme, width, the
+ *  kResultCounts in decimal, the kResultRates in hexfloat, archSig,
+ *  report, "." sentinel. */
+constexpr size_t kResultFields =
+    5 + std::size(kResultCounts) + std::size(kResultRates) + 3;
 
 /** One PRIJ3 line (newline-terminated) for @p key / @p r. */
 std::string formatResultLine(uint64_t key, const RunResult &r);

@@ -163,6 +163,45 @@ struct RunResult
     std::string report;
 };
 
+/** One metric of a RunResult: its name and its member. */
+template <class T>
+struct ResultField
+{
+    const char *name;
+    T RunResult::*member;
+};
+
+/**
+ * The metrics of a RunResult, declared once, in PRIJ3 line order.
+ * The journal codec, the harnesses' seed average, their --json sink
+ * and the tests iterate these tables. Counts are totals and add up
+ * across seeds; rates are averaged. A new metric needs a member, a
+ * row here, its value in SimInstance::finish(), a kResultTag bump
+ * and the ResultCodec.PinsPrij3FieldList literal.
+ */
+constexpr ResultField<uint64_t> kResultCounts[] = {
+    {"cycles", &RunResult::cycles},
+    {"insts", &RunResult::insts},
+    {"committedTotal", &RunResult::committedTotal},
+    {"goldenChecked", &RunResult::goldenChecked},
+};
+
+constexpr ResultField<double> kResultRates[] = {
+    {"ipc", &RunResult::ipc},
+    {"avgIntOccupancy", &RunResult::avgIntOccupancy},
+    {"avgFpOccupancy", &RunResult::avgFpOccupancy},
+    {"lifeAllocToWrite", &RunResult::lifeAllocToWrite},
+    {"lifeWriteToLastRead", &RunResult::lifeWriteToLastRead},
+    {"lifeLastReadToRelease", &RunResult::lifeLastReadToRelease},
+    {"branchMispredictRate", &RunResult::branchMispredictRate},
+    {"dl1MissRate", &RunResult::dl1MissRate},
+    {"priEarlyFrees", &RunResult::priEarlyFrees},
+    {"erEarlyFrees", &RunResult::erEarlyFrees},
+    {"inlinedFrac", &RunResult::inlinedFrac},
+    {"portStallsPerKInst", &RunResult::portStallsPerKInst},
+    {"portInlineBypassFrac", &RunResult::portInlineBypassFrac},
+};
+
 /**
  * Deterministic digest of every RunParams field that can change the
  * journaled result record (benchmark, machine shape, scheme, seed,

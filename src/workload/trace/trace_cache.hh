@@ -158,17 +158,6 @@ class TraceCache
         uint64_t traceBytes = 0;       ///< currently resident
         uint64_t opsReplayed = 0;      ///< traced next() calls
         uint64_t opsLegacyDecoded = 0; ///< legacy next() calls
-
-        /** Fraction of all front-end ops served by trace replay. */
-        double
-        replayHitRate() const
-        {
-            const uint64_t total = opsReplayed + opsLegacyDecoded;
-            return total == 0
-                ? 0.0
-                : static_cast<double>(opsReplayed) /
-                    static_cast<double>(total);
-        }
     };
     Stats stats() const;
 

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "expect_identical.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
@@ -42,30 +43,6 @@ portedParams(unsigned ports)
     p.seed = 7;
     p.prfReadPorts = ports;
     return p;
-}
-
-void
-expectIdentical(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    EXPECT_EQ(a.scheme, b.scheme);
-    EXPECT_EQ(a.width, b.width);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.avgIntOccupancy, b.avgIntOccupancy);
-    EXPECT_EQ(a.avgFpOccupancy, b.avgFpOccupancy);
-    EXPECT_EQ(a.lifeAllocToWrite, b.lifeAllocToWrite);
-    EXPECT_EQ(a.lifeWriteToLastRead, b.lifeWriteToLastRead);
-    EXPECT_EQ(a.lifeLastReadToRelease, b.lifeLastReadToRelease);
-    EXPECT_EQ(a.branchMispredictRate, b.branchMispredictRate);
-    EXPECT_EQ(a.dl1MissRate, b.dl1MissRate);
-    EXPECT_EQ(a.priEarlyFrees, b.priEarlyFrees);
-    EXPECT_EQ(a.erEarlyFrees, b.erEarlyFrees);
-    EXPECT_EQ(a.inlinedFrac, b.inlinedFrac);
-    EXPECT_EQ(a.portStallsPerKInst, b.portStallsPerKInst);
-    EXPECT_EQ(a.portInlineBypassFrac, b.portInlineBypassFrac);
-    EXPECT_EQ(a.report, b.report);
 }
 
 /** Strip the conditionally-registered core.prfPort* lines so a

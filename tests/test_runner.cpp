@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/core.hh"
+#include "expect_identical.hh"
 #include "faults/fault_spec.hh"
 #include "sim/journal.hh"
 #include "sim/result_codec.hh"
@@ -59,33 +60,6 @@ smallBatch()
         }
     }
     return batch;
-}
-
-void
-expectIdentical(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    EXPECT_EQ(a.scheme, b.scheme);
-    EXPECT_EQ(a.width, b.width);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.committedTotal, b.committedTotal);
-    EXPECT_EQ(a.goldenChecked, b.goldenChecked);
-    EXPECT_EQ(a.avgIntOccupancy, b.avgIntOccupancy);
-    EXPECT_EQ(a.avgFpOccupancy, b.avgFpOccupancy);
-    EXPECT_EQ(a.lifeAllocToWrite, b.lifeAllocToWrite);
-    EXPECT_EQ(a.lifeWriteToLastRead, b.lifeWriteToLastRead);
-    EXPECT_EQ(a.lifeLastReadToRelease, b.lifeLastReadToRelease);
-    EXPECT_EQ(a.branchMispredictRate, b.branchMispredictRate);
-    EXPECT_EQ(a.dl1MissRate, b.dl1MissRate);
-    EXPECT_EQ(a.priEarlyFrees, b.priEarlyFrees);
-    EXPECT_EQ(a.erEarlyFrees, b.erEarlyFrees);
-    EXPECT_EQ(a.inlinedFrac, b.inlinedFrac);
-    EXPECT_EQ(a.portStallsPerKInst, b.portStallsPerKInst);
-    EXPECT_EQ(a.portInlineBypassFrac, b.portInlineBypassFrac);
-    EXPECT_EQ(a.archSig, b.archSig);
-    EXPECT_EQ(a.report, b.report);
 }
 
 /** Newline-terminated lines in the file at @p path. */
@@ -574,12 +548,20 @@ TEST(SimulationRunner, ParamsHashSeparatesResultsOnly)
 // ---------------------------------------------------------------
 
 /** The PRIJ3 field list is load-bearing for every on-disk cache: a
- *  RunResult change must land here, in the tag bump, and in the
- *  format/parse pair together. If this test fails you changed one
+ *  change to sim::kResultCounts or sim::kResultRates must land here
+ *  and in the tag bump together. If this test fails you changed one
  *  without the others. */
 TEST(ResultCodec, PinsPrij3FieldList)
 {
-    ASSERT_EQ(codec::kResultFields, 25u);
+    std::vector<std::string> line = {"tag", "paramsHash", "benchmark",
+                                     "scheme", "width"};
+    for (const auto &field : kResultCounts)
+        line.push_back(field.name);
+    for (const auto &field : kResultRates)
+        line.push_back(field.name);
+    line.insert(line.end(), {"archSig", "report", "sentinel"});
+    ASSERT_EQ(line.size(), codec::kResultFields);
+
     const std::vector<std::string> want = {
         "tag", "paramsHash", "benchmark", "scheme", "width",
         "cycles", "insts", "committedTotal", "goldenChecked",
@@ -589,10 +571,7 @@ TEST(ResultCodec, PinsPrij3FieldList)
         "dl1MissRate", "priEarlyFrees", "erEarlyFrees",
         "inlinedFrac", "portStallsPerKInst", "portInlineBypassFrac",
         "archSig", "report", "sentinel"};
-    ASSERT_EQ(want.size(), codec::kResultFields);
-    for (size_t i = 0; i < want.size(); ++i)
-        EXPECT_EQ(codec::kResultFieldNames[i], want[i])
-            << "PRIJ3 field " << i;
+    EXPECT_EQ(line, want);
     EXPECT_STREQ(codec::kResultTag, "PRIJ3");
 }
 
@@ -622,28 +601,6 @@ TEST(ResultCodec, ParamsHashValuesPinned)
     EXPECT_EQ(paramsHash(fault), 0x84b511eb761aa6c8ULL);
 }
 
-/** The hexfloat fields of a RunResult, in PRIJ3 order. */
-const std::vector<double RunResult::*> &
-doubleFields()
-{
-    static const std::vector<double RunResult::*> fields = {
-        &RunResult::ipc,
-        &RunResult::avgIntOccupancy,
-        &RunResult::avgFpOccupancy,
-        &RunResult::lifeAllocToWrite,
-        &RunResult::lifeWriteToLastRead,
-        &RunResult::lifeLastReadToRelease,
-        &RunResult::branchMispredictRate,
-        &RunResult::dl1MissRate,
-        &RunResult::priEarlyFrees,
-        &RunResult::erEarlyFrees,
-        &RunResult::inlinedFrac,
-        &RunResult::portStallsPerKInst,
-        &RunResult::portInlineBypassFrac,
-    };
-    return fields;
-}
-
 /** Every double class survives format -> parse with its bits: signed
  *  zero, subnormals, the extremes, infinities and an inexact
  *  fraction. %a keeps no NaN payload, so a NaN must come back a NaN
@@ -656,23 +613,22 @@ TEST(ResultCodec, DoublesRoundTripBitExact)
         DBL_MAX,       limits::infinity(),   -limits::infinity(),
         1.0 / 3.0,     limits::quiet_NaN(),  -limits::quiet_NaN(),
     };
-    ASSERT_EQ(doubleFields().size(), 13u);
     RunResult r;
     r.benchmark = "gzip";
     r.scheme = "Base";
     for (const double v : values) {
-        for (const auto field : doubleFields())
-            r.*field = v;
+        for (const auto &field : kResultRates)
+            r.*field.member = v;
         const std::string line = codec::formatResultLine(42, r);
         uint64_t key = 0;
         RunResult back;
         ASSERT_TRUE(codec::parseResultLine(line, key, back)) << line;
         EXPECT_EQ(key, 42u);
-        for (const auto field : doubleFields()) {
+        for (const auto &field : kResultRates) {
             if (std::isnan(v)) {
-                EXPECT_TRUE(std::isnan(back.*field)) << line;
+                EXPECT_TRUE(std::isnan(back.*field.member)) << line;
             } else {
-                EXPECT_EQ(std::bit_cast<uint64_t>(back.*field),
+                EXPECT_EQ(std::bit_cast<uint64_t>(back.*field.member),
                           std::bit_cast<uint64_t>(v))
                     << line;
             }
