@@ -53,7 +53,10 @@ int
 main(int argc, char **argv)
 {
     using namespace pri;
-    const auto opts = bench::parseOptions(argc, argv);
+    // Each cell drives its own core outside the sweep runner: no
+    // results for --json, no journal key, no per-run wall budget.
+    const auto opts = bench::parseOptions(
+        argc, argv, {.json = false, .journal = false, .timeout = false});
     const auto &budget = opts.budget;
     const double densities[] = {0.0, 0.25, 0.5, 1.0};
     const std::string benches[] = {"crafty", "eon", "vortex"};

@@ -15,7 +15,8 @@ int
 main(int argc, char **argv)
 {
     using namespace pri;
-    const auto opts = bench::parseOptions(argc, argv);
+    // seedMeanIpc() keeps no results for writeJson(): no --json.
+    const auto opts = bench::parseOptions(argc, argv, {.json = false});
     const unsigned widths[] = {4, 7, 8, 10, 12, 16};
     const std::string benches[] = {"gzip", "crafty", "mcf", "gcc"};
 

@@ -15,7 +15,8 @@ int
 main(int argc, char **argv)
 {
     using namespace pri;
-    const auto opts = bench::parseOptions(argc, argv);
+    // seedMeanIpc() keeps no results for writeJson(): no --json.
+    const auto opts = bench::parseOptions(argc, argv, {.json = false});
     const unsigned sizes[] = {16, 32, 64, 128, 512};
     const std::string benches[] = {"gzip", "equake", "gcc"};
 

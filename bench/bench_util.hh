@@ -72,6 +72,21 @@ struct Options
     uint64_t timeoutMs = 0;  ///< --timeout-ms N: per-run wall budget
 };
 
+/**
+ * The common flags that promise something a harness must keep: a
+ * --json results file, a --journal result cache and a --timeout-ms
+ * limit per run. A harness names the ones it keeps and
+ * parseOptions() rejects the others as unknown arguments. --quick,
+ * --full and --jobs N only size and spread the work, so every
+ * harness accepts them.
+ */
+struct Honours
+{
+    bool json = true;
+    bool journal = true;
+    bool timeout = true;
+};
+
 /** A harness's own numeric flag (`NAME N`), accepted beside the
  *  common set; N is stored through @c value. */
 struct ExtraFlag
@@ -102,14 +117,16 @@ resilience()
 
 } // namespace detail
 
-/** Parse --quick / --full / --jobs N / --json FILE /
- *  --journal FILE / --timeout-ms N and the harness's @p extra flags
- *  from argv. Numbers must be whole unsigned decimals; a bad
- *  number, a missing value or an unknown argument is fatal. Also
- *  installs the fatal-signal handlers so a crashed harness leaves a
- *  flight-recorder dump naming the run it died in. */
+/** Parse --quick / --full / --jobs N, the common flags in
+ *  @p honours (--json FILE / --journal FILE / --timeout-ms N) and
+ *  the harness's @p extra flags from argv. Numbers must be whole
+ *  unsigned decimals; a bad number, a missing value, an unknown
+ *  argument or a --json file that cannot be written is fatal, before
+ *  anything simulates. Also installs the fatal-signal handlers so a
+ *  crashed harness leaves a flight-recorder dump naming the run it
+ *  died in. */
 inline Options
-parseOptions(int argc, char **argv,
+parseOptions(int argc, char **argv, Honours honours = {},
              std::initializer_list<ExtraFlag> extra = {})
 {
     installCrashHandlers();
@@ -127,11 +144,11 @@ parseOptions(int argc, char **argv,
             o.budget = Budget{50000, 250000};
         } else if (a == "--jobs") {
             o.jobs = parseFlagValue<unsigned>(a, value());
-        } else if (a == "--json") {
+        } else if (a == "--json" && honours.json) {
             o.jsonPath = value();
-        } else if (a == "--journal") {
+        } else if (a == "--journal" && honours.journal) {
             o.journalPath = value();
-        } else if (a == "--timeout-ms") {
+        } else if (a == "--timeout-ms" && honours.timeout) {
             o.timeoutMs = parseFlagValue<uint64_t>(a, value());
         } else if (auto f = std::find_if(
                        extra.begin(), extra.end(),
@@ -146,6 +163,14 @@ parseOptions(int argc, char **argv,
         } else {
             fatal("unknown argument '{}'", a);
         }
+    }
+    if (!o.jsonPath.empty()) {
+        // Append mode creates a missing file and keeps an existing
+        // one intact until writeJson() replaces it.
+        std::FILE *f = std::fopen(o.jsonPath.c_str(), "a");
+        if (f == nullptr)
+            fatal("cannot write {}", o.jsonPath);
+        std::fclose(f);
     }
     auto &rz = detail::resilience();
     rz.timeoutMs = o.timeoutMs;

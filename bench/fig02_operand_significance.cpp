@@ -36,7 +36,9 @@ int
 main(int argc, char **argv)
 {
     using namespace pri;
-    const auto opts = bench::parseOptions(argc, argv);
+    // A functional walk: nothing to journal, time out or write.
+    const auto opts = bench::parseOptions(
+        argc, argv, {.json = false, .journal = false, .timeout = false});
     const sim::SimulationRunner runner(opts.jobs);
 
     std::printf("=== Figure 2: operand significance ===\n\n");

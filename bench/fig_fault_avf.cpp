@@ -115,7 +115,7 @@ main(int argc, char **argv)
     faults::CampaignSpec spec;
     spec.injections = 0; // unless given: derived from the budget
     const auto opts = bench::parseOptions(
-        argc, argv,
+        argc, argv, bench::Honours{},
         {{"--injections", &spec.injections},
          {"--campaign-seed", &spec.campaignSeed}});
     spec.schemes.assign(std::begin(kSchemes), std::end(kSchemes));

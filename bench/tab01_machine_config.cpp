@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "bench_util.hh"
 #include "core/config.hh"
 
 namespace
@@ -55,8 +56,12 @@ show(const char *title, const pri::core::CoreConfig &c)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    // Prints configurations only: nothing to journal, time out or
+    // write.
+    pri::bench::parseOptions(
+        argc, argv, {.json = false, .journal = false, .timeout = false});
     std::printf("=== Table 1: machine configurations ===\n\n");
     const auto rn4 = pri::rename::RenameConfig::base(
         64, pri::core::CoreConfig::narrowBitsForWidth(4));

@@ -1,5 +1,9 @@
 #include "core.hh"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <bit>
 
@@ -39,6 +43,37 @@ CoreStats::CoreStats(StatGroup &sg)
 {
 }
 
+namespace
+{
+
+/**
+ * Fix glibc's heap thresholds once, before the first core reserves
+ * its checkpoint ring. Sweeps build and drop ~1.2 MB cores back to
+ * back. Under glibc's dynamic thresholds, freeing the mmapped
+ * 520 KiB ring raises the trim threshold to ~1.07 MB, so whenever a
+ * core lands at the heap top its destruction returns the top to the
+ * OS and the next core faults it back in: 22-51k minor faults per
+ * fig10 set-up depending on the seed, and a 16-byte change to this
+ * class flipped which seeds thrashed. The values are the ceiling
+ * the dynamic thresholds can reach on 64-bit glibc (32 MiB mmap,
+ * twice that to trim), fixed from the start. Sanitizer runtimes
+ * replace malloc and ignore the call.
+ */
+void
+fixHeapThresholds()
+{
+#ifdef __GLIBC__
+    static const bool fixed = [] {
+        mallopt(M_MMAP_THRESHOLD, 32 << 20);
+        mallopt(M_TRIM_THRESHOLD, 64 << 20);
+        return true;
+    }();
+    (void)fixed;
+#endif
+}
+
+} // namespace
+
 OutOfOrderCore::OutOfOrderCore(
     const CoreConfig &config,
     const workload::SyntheticProgram &program, StatGroup &stats,
@@ -58,6 +93,7 @@ OutOfOrderCore::OutOfOrderCore(
       ckptPool(config.ckptPoolSize()), events_(config.robSize, 2),
       flight(&flightRecorder())
 {
+    fixHeapThresholds();
     wdNextAudit = cfg.watchdogAuditWindow();
     if (cfg.faultSpec.enabled()) {
         // Cycle-derived triggers resolve to a concrete fire cycle

@@ -1,14 +1,24 @@
 #include "journal.hh"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdlib>
-#include <string_view>
 
 #include "common/logging.hh"
 #include "sim/result_codec.hh"
 
 namespace pri::sim
 {
+
+void
+UnmapJournal::operator()(const char *bytes) const
+{
+    ::munmap(const_cast<char *>(bytes), size);
+}
 
 SweepJournal::SweepJournal(std::string path)
     : filePath(std::move(path))
@@ -32,21 +42,24 @@ SweepJournal::~SweepJournal()
 void
 SweepJournal::load()
 {
-    std::FILE *in = std::fopen(filePath.c_str(), "rb");
-    if (in == nullptr)
+    const int fd = ::open(filePath.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return; // fresh journal
-    // One read into a buffer sized once from the file.
-    if (std::fseek(in, 0, SEEK_END) == 0) {
-        const long size = std::ftell(in);
-        if (size > 0) {
-            bytes.resize(static_cast<size_t>(size));
-            std::rewind(in);
-            bytes.resize(std::fread(bytes.data(), 1, bytes.size(), in));
-        }
-    }
-    std::fclose(in);
+    struct stat st{};
+    const size_t size =
+        ::fstat(fd, &st) == 0 ? static_cast<size_t>(st.st_size) : 0;
+    void *bytes = size == 0
+        ? MAP_FAILED
+        : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE,
+                 fd, 0);
+    ::close(fd);
+    if (size == 0)
+        return; // empty: nothing to map
+    if (bytes == MAP_FAILED)
+        fatal("cannot map journal '{}'", filePath);
+    mapped = {static_cast<const char *>(bytes), UnmapJournal{size}};
 
-    const std::string_view all(bytes);
+    const std::string_view all(mapped.get(), size);
     size_t skipped = 0;
     size_t pos = 0;
     while (pos < all.size()) {
@@ -59,11 +72,12 @@ SweepJournal::load()
             tornTail = true;
             break;
         }
-        const std::string_view line = all.substr(pos, nl - pos);
         uint64_t key = 0;
-        if (!codec::validateResultLine(line, key))
+        Entry e;
+        if (!codec::parseResultFields(all.substr(pos, nl - pos), key,
+                                      e.fields, e.report))
             ++skipped;
-        else if (index.emplace(key, Span{pos, line.size()}).second)
+        else if (index.try_emplace(key, std::move(e)).second)
             ++loaded; // else a later duplicate: the first line wins
         pos = nl + 1;
     }
@@ -85,13 +99,9 @@ SweepJournal::lookup(uint64_t key, RunResult &out) const
     const auto it = index.find(key);
     if (it == index.end())
         return false;
-    // Parsed under the lock: a concurrent record() may reallocate
-    // `bytes`.
-    const Span span = it->second;
-    uint64_t parsed = 0;
-    return codec::parseResultLine(
-        std::string_view(bytes).substr(span.offset, span.length), parsed,
-        out);
+    out = it->second.fields;
+    out.report = codec::unescapeReport(it->second.report);
+    return true;
 }
 
 void
@@ -99,19 +109,23 @@ SweepJournal::record(uint64_t key, const RunResult &result)
 {
     if (!enabled())
         return;
-    const std::string line = codec::formatResultLine(key, result);
+    std::string line = codec::formatResultLine(key, result);
     std::lock_guard<std::mutex> lock(mu);
     if (index.count(key) != 0)
         return; // duplicate point already persisted
     if (tornTail) {
         std::fputc('\n', file);
-        bytes += '\n';
         tornTail = false;
     }
-    index.emplace(key, Span{bytes.size(), line.size() - 1});
-    bytes += line;
     std::fwrite(line.data(), 1, line.size(), file);
     std::fflush(file);
+    // Indexed from the stored line exactly as a reload would index
+    // it, so the point reads back the same either way.
+    const std::string &stored = appendStore.emplace_back(std::move(line));
+    uint64_t parsed = 0;
+    Entry e;
+    if (codec::parseResultFields(stored, parsed, e.fields, e.report))
+        index.try_emplace(key, std::move(e));
     ++appended;
     if (killAfter != 0 && appended >= killAfter) {
         // CI crash-drill hook: die the hard way (no destructors, no

@@ -15,22 +15,26 @@
  * byte-identical to an uninterrupted run because journaled results
  * are bit-exact.
  *
- * Storage: the file's bytes plus an index. Opening reads the whole
- * file in one read into a buffer sized from the file, validates
- * each line in place (codec::validateResultLine) and indexes its
- * key to the line's byte span; the first valid line of a key wins.
- * lookup() parses a line only when it is hit, so a warm rerun pays
- * one report unescape per point it serves. record() appends the
- * line it writes to the file to the buffer as well, so loaded and
- * recorded points share one representation.
+ * Storage: the file mapped read-only (mmap, MAP_PRIVATE |
+ * MAP_POPULATE) plus an index. Opening parses every line once
+ * (codec::parseResultFields) and indexes each key's first valid
+ * line: its fields, a RunResult without its report, and a view of
+ * the escaped report in the mapping. lookup() copies the fields and
+ * unescapes the report, so a warm rerun pays one unescape per point
+ * it serves and no parse. record() keeps the line it appends in a
+ * store whose bytes never move and indexes it the same way, so
+ * loaded and recorded points share one representation. An empty or
+ * missing file maps nothing; a non-empty file that cannot be mapped
+ * is fatal.
  *
- * A line torn mid-write by the crash simply fails validation (field
+ * A line torn mid-write by the crash simply fails to parse (field
  * count, tag, sentinel, number forms) and is skipped: that point
  * reruns. If the file ends in such a fragment, the first append of
  * the resumed run starts a fresh line, so the fragment cannot
- * swallow it. Appends take a mutex (workers finish out of order)
- * and the file is append-only, so two processes must not share one
- * journal.
+ * swallow it. Appends take a mutex (workers finish out of order).
+ * The file is append-only and mapped, so two processes must not
+ * share one journal: a writer that truncated it would fault the
+ * mapped reader.
  *
  * Test hook: PRI_JOURNAL_KILL_AFTER=<k> SIGKILLs the process right
  * after the k-th append, giving CI a deterministic "sweep died
@@ -42,14 +46,25 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "sim/simulation.hh"
 
 namespace pri::sim
 {
+
+/** Deleter of SweepJournal's file mapping; the mapping's length
+ *  rides along. */
+struct UnmapJournal
+{
+    size_t size = 0;
+    void operator()(const char *bytes) const;
+};
 
 /** Append-only manifest of completed sweep points (see @file). */
 class SweepJournal
@@ -86,24 +101,28 @@ class SweepJournal
     }
 
   private:
-    /** A line's place in `bytes`, newline excluded. Offsets, not
-     *  pointers: record() may reallocate `bytes`, so nothing points
-     *  into it outside the mutex. */
-    struct Span
+    /** A key's first valid line, parsed: every RunResult field but
+     *  the report, and the escaped report, a view into the mapping
+     *  or the append store. */
+    struct Entry
     {
-        size_t offset;
-        size_t length;
+        RunResult fields;
+        std::string_view report;
     };
 
     void load();
 
     std::string filePath;
     std::FILE *file = nullptr;
+    /** The file as it was at open, mapped read-only (null when it
+     *  was empty or missing). */
+    std::unique_ptr<const char, UnmapJournal> mapped;
     mutable std::mutex mu;
-    /** The file's contents: as read at open, then every append. */
-    std::string bytes;
-    /** Key -> span of its first valid line in `bytes`. */
-    std::unordered_map<uint64_t, Span> index;
+    /** Lines appended by record(): a deque never moves its
+     *  elements, so the views into them stay valid. */
+    std::deque<std::string> appendStore;
+    /** Key -> its first valid line, loaded or appended. */
+    std::unordered_map<uint64_t, Entry> index;
     size_t loaded = 0;
     size_t appended = 0;
     /** The file ended in a torn fragment: terminate it before the

@@ -37,29 +37,6 @@ escape(const std::string &s)
     return out;
 }
 
-/** Inverse of escape(), in one allocation: the runs between
- *  backslashes are copied whole. */
-std::string
-unescape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    while (true) {
-        const size_t bs = s.find('\\');
-        if (bs == std::string_view::npos || bs + 1 == s.size()) {
-            out += s;
-            return out;
-        }
-        out += s.substr(0, bs);
-        switch (s[bs + 1]) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: out += s[bs + 1];
-        }
-        s.remove_prefix(bs + 2);
-    }
-}
-
 /** Split @p line on tabs into exactly kResultFields raw views (no
  *  unescaping). Tolerates one trailing newline so a line straight
  *  from formatResultLine() parses like a stripped journal line. */
@@ -234,23 +211,49 @@ formatResultLine(uint64_t key, const RunResult &r)
 }
 
 bool
-parseResultLine(std::string_view line, uint64_t &key, RunResult &r)
+parseResultFields(std::string_view line, uint64_t &key, RunResult &r,
+                  std::string_view &escapedReport)
 {
     Fields f;
     if (!splitFields(line, f) || !parseNumbers(f, key, r))
         return false;
     r.benchmark = f[2];
     r.scheme = f[3];
-    r.report = unescape(f[kReport]);
+    escapedReport = f[kReport];
     return true;
 }
 
-bool
-validateResultLine(std::string_view line, uint64_t &key)
+/** Inverse of escape(), in one allocation: the runs between
+ *  backslashes are copied whole. */
+std::string
+unescapeReport(std::string_view s)
 {
-    Fields f;
-    RunResult scratch;
-    return splitFields(line, f) && parseNumbers(f, key, scratch);
+    std::string out;
+    out.reserve(s.size());
+    while (true) {
+        const size_t bs = s.find('\\');
+        if (bs == std::string_view::npos || bs + 1 == s.size()) {
+            out += s;
+            return out;
+        }
+        out += s.substr(0, bs);
+        switch (s[bs + 1]) {
+          case 'n': out += '\n'; break;
+          case 't': out += '\t'; break;
+          default: out += s[bs + 1];
+        }
+        s.remove_prefix(bs + 2);
+    }
+}
+
+bool
+parseResultLine(std::string_view line, uint64_t &key, RunResult &r)
+{
+    std::string_view report;
+    if (!parseResultFields(line, key, r, report))
+        return false;
+    r.report = unescapeReport(report);
+    return true;
 }
 
 } // namespace pri::sim::codec

@@ -7,10 +7,16 @@
  * same lines, so the format is pinned byte for byte.
  *
  * A line is tab-separated and ends in a "." sentinel, so a torn
- * write (SIGKILL mid-append) fails validation and the loader skips
+ * write (SIGKILL mid-append) fails to parse and the loader skips
  * it. Doubles are written in hexfloat (%a) so they round-trip
  * bit-exactly; the stats report rides along with newlines/tabs
  * escaped.
+ *
+ * Parsing is split in two so the journal does each step once: the
+ * strict parse of every field but the report (parseResultFields),
+ * which the journal runs per line when it opens or appends, and the
+ * report unescape (unescapeReport), which it runs per hit.
+ * parseResultLine is both.
  *
  * The parser is strict: it splits a line into exactly 25 views and
  * reads every number with std::from_chars, accepting only the digit
@@ -53,21 +59,22 @@ constexpr size_t kResultFields =
 std::string formatResultLine(uint64_t key, const RunResult &r);
 
 /**
- * Parse one PRIJ3 line (one trailing newline is tolerated). Returns
- * false (leaving @p key / @p r untouched garbage) for anything
- * malformed — most importantly the torn final line of a file whose
- * writer was SIGKILLed mid-write.
+ * Parse every field of one PRIJ3 line but the report: @p key, every
+ * RunResult field of @p r except `report` (left as it was), and the
+ * report still escaped, as a view into @p line. One trailing
+ * newline is tolerated. Returns false (leaving the outputs
+ * untouched garbage) for anything malformed — most importantly the
+ * torn final line of a file whose writer was SIGKILLed mid-write.
  */
+bool parseResultFields(std::string_view line, uint64_t &key,
+                       RunResult &r, std::string_view &escapedReport);
+
+/** The report field parseResultFields() returned, unescaped. */
+std::string unescapeReport(std::string_view escaped);
+
+/** parseResultFields() plus unescapeReport() into `r.report`. */
 bool parseResultLine(std::string_view line, uint64_t &key,
                      RunResult &r);
-
-/**
- * Validate @p line exactly as parseResultLine() does and return its
- * key, without building the RunResult (the report is not
- * unescaped). The journal indexes lines with this when it opens and
- * parses a line in full only when it is looked up.
- */
-bool validateResultLine(std::string_view line, uint64_t &key);
 
 } // namespace pri::sim::codec
 

@@ -134,8 +134,6 @@ TraceCache::stats() const
     s.microOps = nOps;
     for (const auto &[key, traces] : entries)
         s.traceBytes += traces->traceBytes();
-    s.opsReplayed = opsReplayed.load(std::memory_order_relaxed);
-    s.opsLegacyDecoded = opsLegacy.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -147,8 +145,6 @@ TraceCache::reset()
     workloads.clear();
     nCompiled = nShared = nEvicted = nBlocks = nOps = 0;
     nBuilt = nWorkloadHits = 0;
-    opsReplayed.store(0, std::memory_order_relaxed);
-    opsLegacy.store(0, std::memory_order_relaxed);
 }
 
 } // namespace pri::workload::trace

@@ -23,7 +23,6 @@
 #ifndef PRI_WORKLOAD_TRACE_TRACE_CACHE_HH
 #define PRI_WORKLOAD_TRACE_TRACE_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -156,18 +155,8 @@ class TraceCache
         uint64_t blocksCompiled = 0;   ///< cumulative
         uint64_t microOps = 0;         ///< cumulative
         uint64_t traceBytes = 0;       ///< currently resident
-        uint64_t opsReplayed = 0;      ///< traced next() calls
-        uint64_t opsLegacyDecoded = 0; ///< legacy next() calls
     };
     Stats stats() const;
-
-    /** Walker teardown flushes its op counters here (atomic). */
-    void
-    noteWalkerOps(uint64_t replayed, uint64_t legacy)
-    {
-        opsReplayed.fetch_add(replayed, std::memory_order_relaxed);
-        opsLegacy.fetch_add(legacy, std::memory_order_relaxed);
-    }
 
     /** Drop all cached programs and traces and zero statistics
      *  (tests/bench). */
@@ -194,8 +183,6 @@ class TraceCache
     uint64_t nWorkloadHits = 0;
     uint64_t nBlocks = 0;
     uint64_t nOps = 0;
-    std::atomic<uint64_t> opsReplayed{0};
-    std::atomic<uint64_t> opsLegacy{0};
 };
 
 } // namespace pri::workload::trace

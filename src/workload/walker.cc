@@ -26,14 +26,6 @@ Walker::Walker(const SyntheticProgram &program,
                "walker given traces compiled from another program");
 }
 
-Walker::~Walker()
-{
-    if (nReplayed != 0 || nLegacyDecoded != 0) {
-        trace::TraceCache::global().noteWalkerOps(nReplayed,
-                                                  nLegacyDecoded);
-    }
-}
-
 uint64_t
 Walker::genIntValue(const StaticInst &si, uint64_t g) const
 {
@@ -217,7 +209,6 @@ Walker::next()
         return nextTraced();
 
     PRI_ASSERT(!pending, "next() called with an unsteered branch");
-    ++nLegacyDecoded;
 
     const BasicBlock &blk = prog.block(loc.block);
     const StaticInst &si = blk.insts.at(loc.idx);
@@ -274,7 +265,6 @@ WInst
 Walker::nextTraced()
 {
     PRI_ASSERT(!pending, "next() called with an unsteered branch");
-    ++nReplayed;
 
     const trace::MicroOp &op = *cur;
     const uint64_t g = gidx++;

@@ -60,7 +60,6 @@ class Walker
      */
     explicit Walker(const SyntheticProgram &program,
                     const trace::ProgramTraces *traces = nullptr);
-    ~Walker();
 
     Walker(const Walker &) = delete;
     Walker &operator=(const Walker &) = delete;
@@ -153,8 +152,6 @@ class Walker
     /** The MicroOp at loc; kept in lock-step with (loc.block, loc.idx)
      *  by next/steer/restore. Null on the legacy path. */
     const trace::MicroOp *cur = nullptr;
-    uint64_t nReplayed = 0;     ///< flushed to TraceCache stats
-    uint64_t nLegacyDecoded = 0;
 };
 
 } // namespace pri::workload

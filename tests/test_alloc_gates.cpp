@@ -24,12 +24,19 @@
  * 8-wide core), and no per-checkpoint prefill can come back (one
  * node per checkpoint slot once made 722 calls per 8-wide core).
  *
+ * The heap gate: once a core is built, memory freed to the heap
+ * stays mapped for the next allocation, so a sweep's set-up does not
+ * fault every core back in from the OS (glibc's dynamic trimming
+ * did, for whichever cores landed at the heap top).
+ *
  * Each window is a pure delta of the counters, so background
  * allocations outside it (program build, trace compile, gtest
  * bookkeeping) do not count. The aligned overloads are counted too.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <atomic>
 #include <cstddef>
@@ -291,6 +298,48 @@ TEST(AllocGates, CoreConstructionFootprint)
     // About 180 calls today: one per structure, none per slot.
     EXPECT_LE(calls, 256u)
         << "an 8-wide core makes " << calls << " allocations";
+}
+
+/** Minor page faults this process has taken so far. */
+long
+minorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
+}
+
+TEST(AllocGates, FreedHeapStaysMapped)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the sanitizer runtime replaces malloc";
+#else
+    {
+        workload::SyntheticProgram program(
+            workload::profileByName("gzip"), 11);
+        StatGroup stats;
+        core::OutOfOrderCore cpu(core::CoreConfig::fourWide(baseRename()),
+                                 program, stats);
+    }
+    // A block several cores large, touched page by page, freed, then
+    // allocated and touched again: the second pass must find it still
+    // mapped. Volatile stores keep the allocations real.
+    constexpr size_t kBlock = size_t{8} << 20;
+    const auto touchBlock = [] {
+        auto *p = static_cast<volatile char *>(std::malloc(kBlock));
+        if (p == nullptr)
+            throw std::bad_alloc();
+        for (size_t i = 0; i < kBlock; i += 4096)
+            p[i] = 1;
+        return p;
+    };
+    std::free(const_cast<char *>(touchBlock()));
+    const long f0 = minorFaults();
+    volatile char *again = touchBlock();
+    const long faults = minorFaults() - f0;
+    std::free(const_cast<char *>(again));
+    EXPECT_LT(faults, 64) << "the freed block was returned to the OS";
+#endif
 }
 
 } // namespace

@@ -765,5 +765,97 @@ TEST(ResultCodec, JournalInterop)
     std::remove(path.c_str());
 }
 
+/** An existing empty journal file maps nothing, takes a sweep's
+ *  appends and serves every point after a reload. */
+TEST(SweepJournal, FillsAnEmptyFile)
+{
+    const std::string path =
+        testing::TempDir() + "pri_test_journal_empty";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+    const auto batch = smallBatch();
+    const auto results = SimulationRunner(2).run(batch);
+
+    {
+        SweepJournal journal(path);
+        EXPECT_EQ(journal.loadedPoints(), 0u);
+        RunResult r;
+        EXPECT_FALSE(journal.lookup(paramsHash(batch[0]), r));
+        for (size_t i = 0; i < batch.size(); ++i)
+            journal.record(paramsHash(batch[i]), results[i]);
+        EXPECT_EQ(journal.appendedPoints(), batch.size());
+    }
+
+    SweepJournal reloaded(path);
+    EXPECT_EQ(reloaded.loadedPoints(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        RunResult r;
+        ASSERT_TRUE(reloaded.lookup(paramsHash(batch[i]), r)) << i;
+        expectIdentical(r, results[i]);
+    }
+    std::remove(path.c_str());
+}
+
+/** A line with a malformed number does not claim its key: the valid
+ *  line after it is served, and the key is counted once. */
+TEST(SweepJournal, ValidLineAfterMalformedOneIsServed)
+{
+    const std::string path =
+        testing::TempDir() + "pri_test_journal_bad_then_good";
+    const auto batch = smallBatch();
+    const RunResult good = simulate(batch[0]);
+    const uint64_t key = paramsHash(batch[0]);
+    const std::string line = codec::formatResultLine(key, good);
+    auto fields = splitLine(line);
+    fields[4] = "-4"; // the width
+    const std::string bad = joinLine(fields);
+
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (const std::string *l : {&bad, &line})
+        std::fwrite(l->data(), 1, l->size(), f);
+    std::fclose(f);
+
+    SweepJournal journal(path);
+    EXPECT_EQ(journal.loadedPoints(), 1u);
+    RunResult r;
+    ASSERT_TRUE(journal.lookup(key, r));
+    expectIdentical(r, good);
+    std::remove(path.c_str());
+}
+
+/** A point recorded by this process and the same point loaded from
+ *  the file come back bit-identical, with every double class and a
+ *  report full of escapes. */
+TEST(SweepJournal, RecordedAndLoadedPointsMatch)
+{
+    const std::string path =
+        testing::TempDir() + "pri_test_journal_record_load";
+    std::remove(path.c_str());
+    RunResult r = simulate(smallBatch()[0]);
+    r.avgFpOccupancy = -0.0;
+    r.dl1MissRate = std::numeric_limits<double>::denorm_min();
+    r.portStallsPerKInst = std::numeric_limits<double>::infinity();
+    r.portInlineBypassFrac = std::numeric_limits<double>::quiet_NaN();
+    r.report += "tab\there\nback\\slash\\";
+    const uint64_t key = 0x0123456789abcdefULL;
+
+    RunResult recorded;
+    {
+        SweepJournal journal(path);
+        journal.record(key, r);
+        ASSERT_TRUE(journal.lookup(key, recorded));
+    }
+    SweepJournal reloaded(path);
+    RunResult loaded;
+    ASSERT_TRUE(reloaded.lookup(key, loaded));
+    for (const RunResult *back : {&recorded, &loaded}) {
+        expectIdentical(*back, r);
+        EXPECT_EQ(back->report, r.report);
+    }
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace pri::sim
