@@ -10,16 +10,14 @@
  * hold the walker checkpoint (with reusable, grow-once stack
  * storage), the shrunken predictor snapshot, and the speculative-
  * architectural-state journal position. Slots are released when the
- * branch resolves (either outcome) or is squashed; pool exhaustion
- * stalls fetch, as it would in hardware.
+ * branch resolves (either outcome) or is squashed.
  *
  * Slots are allocated in fetch order and the pool is a circular
  * window [head, tail): releases in the middle (branches resolve out
  * of order) mark the slot dead, and the window edges advance past
  * dead slots. Every slot in the window belongs to a branch still in
- * the fetch queue or ROB, so a capacity of robSize + fetchQueueSize
- * can never fill — the default sizing, under which the pool never
- * stalls fetch and so never changes timing.
+ * the fetch queue or ROB, so the core's capacity of robSize +
+ * fetchQueueSize can never fill; allocate() asserts it.
  */
 
 #ifndef PRI_CORE_CHECKPOINT_POOL_HH
@@ -73,7 +71,7 @@ class CheckpointPool
         return static_cast<unsigned>(slots.size());
     }
 
-    /** No slot available: fetch must stall. */
+    /** No slot available (allocate() would overflow). */
     bool full() const { return used == slots.size(); }
 
     bool empty() const { return liveCount == 0; }

@@ -72,6 +72,10 @@ enum class InjectedFault : uint8_t
  *  (early enough to wedge during any run's warmup). */
 constexpr uint64_t kWedgeAfterCommits = 5000;
 
+/** Identical livelock-audit signatures in a row that raise a
+ *  Livelock stall (see CoreConfig::watchdogCycles). */
+constexpr unsigned kWatchdogAuditWindows = 4;
+
 /** Full machine configuration for one simulation. */
 struct CoreConfig
 {
@@ -113,15 +117,6 @@ struct CoreConfig
     unsigned redirectPenalty = 2; ///< resolve -> fetch restart
     unsigned btbMissPenalty = 2;  ///< taken branch without a target
 
-    /**
-     * Checkpoint-pool slots; 0 = auto (robSize + fetchQueueSize,
-     * one slot per branch that can possibly be in flight, so fetch
-     * never stalls on the pool). Smaller values model a finite
-     * hardware checkpoint file: exhaustion stalls fetch and is
-     * counted in core.ckptPoolStalls.
-     */
-    unsigned ckptPoolSlots = 0;
-
     /** Planted bug for diff-checker validation; see InjectedFault. */
     InjectedFault injectFault = InjectedFault::None;
 
@@ -136,10 +131,10 @@ struct CoreConfig
     faults::FaultSpec faultSpec;
 
     /**
-     * Forward-progress watchdog. When enabled, the cycle loop raises
-     * a structured core::ProgressStallError — carrying occupancy
-     * state and the flight-recorder trace — instead of spinning
-     * forever on a wedged machine. Two detectors:
+     * Forward-progress watchdog. The cycle loop raises a structured
+     * core::ProgressStallError — carrying occupancy state and the
+     * flight-recorder trace — instead of spinning forever on a
+     * wedged machine. Two detectors:
      *
      *  - commit stall: no instruction has committed for
      *    watchdogCycles cycles (replaces the old hard-coded 500k
@@ -148,7 +143,7 @@ struct CoreConfig
      *    full-ROB drain behind one is a few thousand), so the
      *    default never trips on real configurations.
      *
-     *  - frozen occupancy (livelock): across watchdogAuditWindows
+     *  - frozen occupancy (livelock): across kWatchdogAuditWindows
      *    consecutive audit windows (watchdogCycles / 8 cycles each),
      *    *nothing* moved — no commit, fetch, issue, or replay, and
      *    ROB / scheduler / fetch-queue / free-list occupancy all
@@ -156,12 +151,10 @@ struct CoreConfig
      *    threshold; anything still executing (even uselessly) does
      *    not match and falls through to the commit-stall detector.
      *
-     * Detection is pure observation: enabling the watchdog changes
-     * no simulation outcome, so reports stay byte-identical.
+     * Detection is pure observation: no threshold changes a
+     * simulation outcome, so reports stay byte-identical.
      */
-    bool watchdogEnabled = true;
     uint64_t watchdogCycles = 500000;
-    unsigned watchdogAuditWindows = 4;
 
     /**
      * Hard per-run cycle budget (0 = unlimited): exceeding it raises
@@ -179,13 +172,12 @@ struct CoreConfig
         return w < 1024 ? 1024 : w;
     }
 
-    /** Effective checkpoint-pool capacity. */
-    unsigned
-    ckptPoolSize() const
-    {
-        return ckptPoolSlots ? ckptPoolSlots
-                             : robSize + fetchQueueSize();
-    }
+    /**
+     * Checkpoint-pool capacity: one slot per branch that can be in
+     * flight (ROB plus fetch queue), so the pool never fills and
+     * never stalls fetch.
+     */
+    unsigned ckptPoolSize() const { return robSize + fetchQueueSize(); }
 
     /** Fetch-buffer capacity between fetch and rename. */
     unsigned fetchQueueSize() const { return 3 * width; }

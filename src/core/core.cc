@@ -38,9 +38,13 @@ CoreStats::CoreStats(StatGroup &sg)
       fetchedInsts(sg.scalar("core.fetchedInsts")),
       scratchGrowths(sg.scalar("core.scratchGrowths")),
       ckptsTaken(sg.scalar("core.ckptsTaken")),
-      ckptsRestored(sg.scalar("core.ckptsRestored")),
-      ckptPoolStalls(sg.scalar("core.ckptPoolStalls"))
+      ckptsRestored(sg.scalar("core.ckptsRestored"))
 {
+    // The checkpoint pool is sized never to fill
+    // (CoreConfig::ckptPoolSize), so fetch never stalls on it. The
+    // stat stays registered, at 0, so every stats report and result
+    // digest keeps its line.
+    sg.scalar("core.ckptPoolStalls");
 }
 
 namespace
@@ -414,14 +418,10 @@ OutOfOrderCore::idealInlineRewrite(isa::RegClass cls,
 }
 
 void
-OutOfOrderCore::run(uint64_t commit_target, uint64_t max_cycles)
+OutOfOrderCore::run(uint64_t commit_target)
 {
     const uint64_t target = nCommitted + commit_target;
     while (nCommitted < target) {
-        if (max_cycles != kNever && cycle >= max_cycles) {
-            warn("run() hit max_cycles before commit target");
-            return;
-        }
         if (cfg.faultSpec.enabled() && !faultFired_ &&
             (faultPending_ || cycle >= faultFireCycle_)) {
             fireFault();
@@ -432,10 +432,7 @@ OutOfOrderCore::run(uint64_t commit_target, uint64_t max_cycles)
         selectStage();
         renameStage();
         fetchStage();
-        if (cfg.watchdogEnabled || cfg.cycleBudget != 0 ||
-            wdHasDeadline) {
-            watchdogCheck();
-        }
+        watchdogCheck();
         ++cycle;
     }
 }
@@ -512,9 +509,6 @@ OutOfOrderCore::watchdogCheck()
         raiseStall(ProgressStall::Kind::WallClock);
     }
 
-    if (!cfg.watchdogEnabled)
-        return;
-
     if (cycle - lastCommitCycle > cfg.watchdogCycles)
         raiseStall(ProgressStall::Kind::CommitStall);
 
@@ -539,7 +533,7 @@ OutOfOrderCore::watchdogCheck()
             rn.occupancy(isa::RegClass::Fp),
         };
         if (wdSigValid && sig == wdSig) {
-            if (++wdFrozenWindows >= cfg.watchdogAuditWindows)
+            if (++wdFrozenWindows >= kWatchdogAuditWindows)
                 raiseStall(ProgressStall::Kind::Livelock);
         } else {
             wdFrozenWindows = 0;
@@ -862,11 +856,13 @@ OutOfOrderCore::onRetire(uint32_t idx)
         // frees one older value, so the machine always drains. A
         // looser rule (anything near the head) lets younger
         // writebacks exhaust the file while the head still waits —
-        // the classic virtual-physical deadlock.
-        const bool privileged = robHead <= idx
-            ? !anyUnretiredInRange(robHead, idx)
-            : !anyUnretiredInRange(robHead, cfg.robSize) &&
-                !anyUnretiredInRange(0, idx);
+        // the classic virtual-physical deadlock. Without VP the
+        // writeback never reads the privilege, so it is not scanned.
+        const bool privileged = !cfg.rename.virtualPhysical ||
+            (robHead <= idx
+                 ? !anyUnretiredInRange(robHead, idx)
+                 : !anyUnretiredInRange(robHead, cfg.robSize) &&
+                     !anyUnretiredInRange(0, idx));
         if (!rn.writeback(c.dst, e.dstPreg, c.dstGen,
                           c.wi.resultValue, privileged)) {
             scheduleEvent(cycle + 2, EventType::Retire, idx);
@@ -1454,15 +1450,6 @@ OutOfOrderCore::fetchStage()
     for (unsigned w = 0; w < cfg.width; ++w) {
         if (fetchCount >= fq_cap)
             return;
-        // The next instruction may be a branch needing a checkpoint
-        // slot, and walker.next() cannot be undone: stall the group
-        // while the pool is exhausted (it never is at the default
-        // auto size).
-        if (ckptPool.full()) {
-            if (w == 0)
-                ++st.ckptPoolStalls;
-            return;
-        }
 
         workload::WInst wi = walker.next();
         FetchedInst &f =
@@ -1542,33 +1529,35 @@ OutOfOrderCore::checkInvariants() const
     PRI_ASSERT(robCount <= cfg.robSize);
     PRI_ASSERT(schedCount_ + schedHeld <= cfg.schedSize);
     PRI_ASSERT(fetchCount <= fetchBuf.size());
-    unsigned valid = 0, waiting = 0;
-    for (const auto &e : robHot) {
-        valid += e.valid ? 1 : 0;
-        waiting += (e.valid && e.inScheduler) ? 1 : 0;
+    // One pass over the ROB slots: counts, both bitmaps against the
+    // flags, held consumer references and pooled checkpoint refs.
+    // The ready bitmap needs no order audit: the select scan walks
+    // the ROB ring from robHead, so seq order is structural.
+    unsigned valid = 0, waiting = 0, nready = 0, held = 0, refs = 0;
+    for (uint32_t i = 0; i < cfg.robSize; ++i) {
+        const RobHot &e = robHot[i];
+        const bool unretired = (unretiredBits[i / 64] >> (i % 64)) & 1;
+        const bool ready = (readyBits_[i / 64] >> (i % 64)) & 1;
+        PRI_ASSERT(ready == e.inReadyList, "ready bitmap out of sync");
+        if (!e.valid) {
+            PRI_ASSERT(!unretired, "unretired bitmap out of sync");
+            PRI_ASSERT(!ready, "dead entry in the ready bitmap");
+            continue;
+        }
+        const RobCold &c = robCold[i];
+        PRI_ASSERT(unretired == !c.retired,
+                   "unretired bitmap out of sync");
+        PRI_ASSERT(!ready || e.inScheduler,
+                   "dead entry in the ready bitmap");
+        ++valid;
+        waiting += e.inScheduler ? 1 : 0;
+        nready += ready ? 1 : 0;
+        for (const auto &s : e.src)
+            held += (s.valid && !s.imm && s.refHeld) ? 1 : 0;
+        refs += c.ckptRef.valid() ? 1 : 0;
     }
     PRI_ASSERT(valid == robCount, "ROB count mismatch");
     PRI_ASSERT(waiting == schedCount_, "scheduler count mismatch");
-    for (uint32_t i = 0; i < cfg.robSize; ++i) {
-        const bool bit =
-            (unretiredBits[i / 64] >> (i % 64)) & 1;
-        const bool expect = robHot[i].valid && !robCold[i].retired;
-        PRI_ASSERT(bit == expect, "unretired bitmap out of sync");
-    }
-    // Ready bitmap: bits, flags, and count in sync. (Seq order is
-    // structural -- the select scan walks the ROB ring from robHead
-    // -- so there is no ordering to audit.)
-    unsigned nready = 0;
-    for (uint32_t i = 0; i < cfg.robSize; ++i) {
-        const bool bit = (readyBits_[i / 64] >> (i % 64)) & 1;
-        const RobHot &e = robHot[i];
-        PRI_ASSERT(bit == e.inReadyList, "ready bitmap out of sync");
-        if (bit) {
-            PRI_ASSERT(e.valid && e.inScheduler,
-                       "dead entry in the ready bitmap");
-            ++nready;
-        }
-    }
     PRI_ASSERT(nready == readyCount_, "ready count mismatch");
     // Consumer lists: the linked nodes are exactly the live pointer
     // reads (valid && !imm && refHeld) of live entries, each on the
@@ -1589,13 +1578,6 @@ OutOfOrderCore::checkInvariants() const
             }
         }
     }
-    unsigned held = 0;
-    for (const auto &e : robHot) {
-        if (!e.valid)
-            continue;
-        for (const auto &s : e.src)
-            held += (s.valid && !s.imm && s.refHeld) ? 1 : 0;
-    }
     PRI_ASSERT(linked == held, "consumer membership leak");
     // Timing wheels: each pending entry linked exactly once, in its
     // own bucket; wakeups only for waiting, not-yet-ready entries,
@@ -1609,11 +1591,6 @@ OutOfOrderCore::checkInvariants() const
     });
     // Every live pool slot is owned by exactly one in-flight
     // reference (fetch ring or ROB).
-    unsigned refs = 0;
-    for (uint32_t i = 0; i < cfg.robSize; ++i) {
-        if (robHot[i].valid && robCold[i].ckptRef.valid())
-            ++refs;
-    }
     const uint32_t cap = static_cast<uint32_t>(fetchBuf.size());
     for (uint32_t i = 0; i < fetchCount; ++i) {
         if (fetchBuf[(fetchHead + i) % cap].ckptRef.valid())

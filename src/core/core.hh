@@ -167,8 +167,6 @@ struct CoreStats
     StatScalar &ckptsTaken;
     /** Checkpoints restored by misprediction recovery. */
     StatScalar &ckptsRestored;
-    /** Fetch cycles stalled because the checkpoint pool was full. */
-    StatScalar &ckptPoolStalls;
 };
 
 /**
@@ -271,10 +269,11 @@ class OutOfOrderCore
             shared_traces = nullptr);
 
     /**
-     * Simulate until @p commit_target instructions commit (or
-     * @p max_cycles elapse, with a warning).
+     * Simulate until @p commit_target more instructions commit. A
+     * run that cannot get there ends in ProgressStallError: the
+     * watchdog, cfg.cycleBudget and the wall-clock budget bound it.
      */
-    void run(uint64_t commit_target, uint64_t max_cycles = kNever);
+    void run(uint64_t commit_target);
 
     /** Start a fresh measurement window (after warmup). */
     void beginMeasurement();

@@ -104,24 +104,36 @@ class SlotWheel
      * Audit the links (panics on a broken list or a node in the wrong
      * bucket) and call @p visit(node) for every pending node. Returns
      * the number visited, which equals the number of pending nodes.
+     * Most lists are empty, so a block of kAuditBlock lists whose
+     * heads and tails are all -1 is skipped in one test; a list with
+     * only one end set is still walked and caught.
      */
     template <class Visit>
     unsigned
     audit(Visit &&visit) const
     {
         unsigned linked = 0;
-        for (unsigned l = 0; l < head_.size(); ++l) {
-            int32_t prev = -1;
-            for (int32_t n = head_[l]; n != -1; n = node_[n].next) {
-                const Node &x = node_[n];
-                PRI_ASSERT(x.at != kIdle && x.prev == prev &&
-                               listOf(x.at, x.list) == l,
-                           "timing wheel list out of sync");
-                visit(static_cast<uint32_t>(n));
-                prev = n;
-                ++linked;
+        for (unsigned b = 0; b < head_.size(); b += kAuditBlock) {
+            int32_t ends = -1;
+            for (unsigned l = b; l < b + kAuditBlock; ++l)
+                ends &= head_[l] & tail_[l];
+            if (ends == -1)
+                continue;
+            for (unsigned l = b; l < b + kAuditBlock; ++l) {
+                int32_t prev = -1;
+                for (int32_t n = head_[l]; n != -1;
+                     n = node_[n].next) {
+                    const Node &x = node_[n];
+                    PRI_ASSERT(x.at != kIdle && x.prev == prev &&
+                                   listOf(x.at, x.list) == l,
+                               "timing wheel list out of sync");
+                    visit(static_cast<uint32_t>(n));
+                    prev = n;
+                    ++linked;
+                }
+                PRI_ASSERT(tail_[l] == prev,
+                           "timing wheel tail out of sync");
             }
-            PRI_ASSERT(tail_[l] == prev, "timing wheel tail out of sync");
         }
         unsigned pending_nodes = 0;
         for (const Node &x : node_)
@@ -131,6 +143,10 @@ class SlotWheel
     }
 
   private:
+    /** Lists per audit() emptiness test; divides every list count. */
+    static constexpr unsigned kAuditBlock = 16;
+    static_assert(kHorizon % kAuditBlock == 0);
+
     struct Node
     {
         int32_t next = -1;

@@ -32,9 +32,8 @@ DiffChecker::DiffChecker(const workload::SyntheticProgram &program,
                          Options options)
     : model(program), opt(options)
 {
-    PRI_ASSERT(opt.windowSize > 0);
     PRI_ASSERT(opt.archCheckInterval > 0);
-    window.reserve(opt.windowSize);
+    window.reserve(kWindowSize);
 }
 
 void
@@ -48,11 +47,11 @@ DiffChecker::onCommit(const core::CommitRecord &rec)
 {
     const GoldenInst &g = model.step();
 
-    if (window.size() < opt.windowSize)
+    if (window.size() < kWindowSize)
         window.push_back({rec, g});
     else
         window[windowPos] = {rec, g};
-    windowPos = (windowPos + 1) % opt.windowSize;
+    windowPos = (windowPos + 1) % kWindowSize;
 
     if (rec.pc != g.pc)
         diverge("pc", rec, g);
@@ -126,7 +125,7 @@ DiffChecker::diagnosticWindow() const
     std::string out = "last retired instructions (oldest first):\n";
     // windowPos is the oldest entry once the ring is full.
     const size_t count = window.size();
-    const size_t start = count < opt.windowSize ? 0 : windowPos;
+    const size_t start = count < kWindowSize ? 0 : windowPos;
     for (size_t k = 0; k < count; ++k) {
         const WindowEntry &we = window[(start + k) % count];
         out += fmtStr("  #{} pc={} {} dst={} core_val={} gold_val={} "

@@ -14,8 +14,8 @@
  * register still named by the map — is caught within one window.
  *
  * On the first divergence the checker panics with a diagnostic
- * window: the last N retired instructions from both models and both
- * architectural register files.
+ * window: the last kWindowSize retired instructions from both models
+ * and both architectural register files.
  */
 
 #ifndef PRI_GOLDEN_DIFF_CHECKER_HH
@@ -47,11 +47,12 @@ class DiffChecker : public core::CommitObserver
   public:
     struct Options
     {
-        /** Retired instructions kept for the divergence report. */
-        unsigned windowSize = 32;
         /** Commits between full register-file compares + audits. */
         unsigned archCheckInterval = 64;
     };
+
+    /** Retired instructions kept for the divergence report. */
+    static constexpr unsigned kWindowSize = 32;
 
     explicit DiffChecker(const workload::SyntheticProgram &program);
     DiffChecker(const workload::SyntheticProgram &program,

@@ -73,14 +73,6 @@ Cache::probe(uint64_t addr) const
 }
 
 void
-Cache::flush()
-{
-    for (auto &ln : lines)
-        ln.valid = false;
-    nHits = nMisses = 0;
-}
-
-void
 Cache::exportStats(StatGroup &stats, const std::string &prefix) const
 {
     stats.scalar(prefix + ".hits").set(static_cast<double>(nHits));

@@ -47,9 +47,6 @@ class Cache
     /** Look up without changing any state. */
     bool probe(uint64_t addr) const;
 
-    /** Invalidate everything. */
-    void flush();
-
     const CacheParams &params() const { return prm; }
     uint64_t hits() const { return nHits; }
     uint64_t misses() const { return nMisses; }

@@ -26,56 +26,4 @@ RamMapTable::write(unsigned logical, const MapEntry &entry)
     table[logical] = entry;
 }
 
-CamMapTable::CamMapTable(unsigned num_phys_regs)
-    : tags(num_phys_regs, 0), valid(num_phys_regs, false)
-{
-    PRI_ASSERT(num_phys_regs >= isa::kNumLogicalRegs);
-    for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i) {
-        tags[i] = static_cast<uint8_t>(i);
-        valid[i] = true;
-    }
-}
-
-std::optional<isa::PhysRegId>
-CamMapTable::lookup(unsigned logical) const
-{
-    for (unsigned p = 0; p < tags.size(); ++p) {
-        if (valid[p] && tags[p] == logical)
-            return static_cast<isa::PhysRegId>(p);
-    }
-    return std::nullopt;
-}
-
-std::optional<isa::PhysRegId>
-CamMapTable::map(unsigned logical, isa::PhysRegId preg)
-{
-    PRI_ASSERT(preg < tags.size());
-    const auto prev = lookup(logical);
-    if (prev)
-        valid[*prev] = false;
-    tags[preg] = static_cast<uint8_t>(logical);
-    valid[preg] = true;
-    return prev;
-}
-
-void
-CamMapTable::unmap(isa::PhysRegId preg)
-{
-    PRI_ASSERT(preg < tags.size());
-    valid[preg] = false;
-}
-
-std::vector<bool>
-CamMapTable::checkpointValidBits() const
-{
-    return valid;
-}
-
-void
-CamMapTable::restoreValidBits(const std::vector<bool> &bits)
-{
-    PRI_ASSERT(bits.size() == valid.size());
-    valid = bits;
-}
-
 } // namespace pri::rename

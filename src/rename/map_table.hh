@@ -5,13 +5,10 @@
  * RamMapTable: one entry per logical register, each holding either a
  * physical register number or — with physical register inlining — an
  * immediate value (the paper's second "addressing mode" for the map).
- *
- * CamMapTable: one entry per physical register, tag-matched by
- * logical register number. Implemented to document and test the
- * paper's argument that PRI is NOT practical with CAM maps: a CAM
- * encodes physical register numbers positionally, so a value stored
- * as a "register number" could only be associated with one logical
- * register at a time.
+ * PRI needs the RAM organisation: a CAM map has one entry per
+ * physical register and encodes the register number positionally,
+ * so a value stored as a "register number" could be associated with
+ * only one logical register at a time.
  */
 
 #ifndef PRI_RENAME_MAP_TABLE_HH
@@ -19,8 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "isa/reg.hh"
 
@@ -72,53 +67,11 @@ class RamMapTable
     const MapEntry &read(unsigned logical) const;
     void write(unsigned logical, const MapEntry &entry);
 
-    /** Full-table copy, used for branch checkpoints. */
-    Table copy() const { return table; }
-    void restore(const Table &snapshot) { table = snapshot; }
-
+    /** The whole table; branch checkpoints copy it. */
     const Table &raw() const { return table; }
 
   private:
     Table table;
-};
-
-/**
- * CAM-style map table model: entries equal to the number of physical
- * registers, tag-matched on (logical register, valid bit). Provided
- * for the paper's §2.1 comparison; the out-of-order core always uses
- * the RAM map because inlining requires it.
- */
-class CamMapTable
-{
-  public:
-    explicit CamMapTable(unsigned num_phys_regs);
-
-    /**
-     * Associative lookup: the physical register currently holding
-     * @p logical, or nullopt when unmapped.
-     */
-    std::optional<isa::PhysRegId> lookup(unsigned logical) const;
-
-    /**
-     * Map @p logical to @p preg: writes the tag at entry @p preg and
-     * clears the valid bit of the previous mapping.
-     * @return the previous physical register, if any.
-     */
-    std::optional<isa::PhysRegId> map(unsigned logical,
-                                      isa::PhysRegId preg);
-
-    /** Clear the valid bit of entry @p preg. */
-    void unmap(isa::PhysRegId preg);
-
-    /** Checkpoint is just the valid bits (the paper's observation). */
-    std::vector<bool> checkpointValidBits() const;
-    void restoreValidBits(const std::vector<bool> &bits);
-
-    unsigned size() const { return static_cast<unsigned>(tags.size()); }
-
-  private:
-    std::vector<uint8_t> tags;  ///< logical register per entry
-    std::vector<bool> valid;
 };
 
 } // namespace pri::rename

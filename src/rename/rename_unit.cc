@@ -980,13 +980,14 @@ RenameUnit::checkInvariants() const
                            static_cast<int16_t>(i),
                        "mappedBy inconsistent with map");
         }
-        unsigned mapped_by = 0;
+        unsigned mapped_by = 0, holding = 0;
         for (unsigned p = 0; p < st.pregs.size(); ++p) {
             const auto &info = st.pregs[p];
             PRI_ASSERT(info.consumerRefs >= 0);
             PRI_ASSERT(st.ckptRefs[p] >= 0);
             if (info.mappedBy >= 0)
                 ++mapped_by;
+            holding += info.holdsStorage ? 1 : 0;
             if (!st.freeList.isAllocated(
                     static_cast<isa::PhysRegId>(p))) {
                 PRI_ASSERT(info.mappedBy < 0,
@@ -997,9 +998,6 @@ RenameUnit::checkInvariants() const
         }
         PRI_ASSERT(mapped == mapped_by,
                    "map/mappedBy cardinality mismatch");
-        unsigned holding = 0;
-        for (unsigned p = 0; p < st.pregs.size(); ++p)
-            holding += st.pregs[p].holdsStorage ? 1 : 0;
         PRI_ASSERT(holding == st.storageUsed,
                    "storage accounting mismatch");
         // The privileged (oldest-instruction) escape valve claims

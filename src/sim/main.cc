@@ -9,7 +9,7 @@
  *           [--read-ports N] [--check-golden]
  *           [--sweep N] [--jobs N] [--journal PATH]
  *           [--timeout-ms N] [--cycle-budget N]
- *           [--watchdog-cycles N] [--no-watchdog]
+ *           [--watchdog-cycles N]
  *           [--inject-fault KIND[@POINT]]
  *
  * Schemes: base er pri pri-lazy pri-ideal pri-ideal-lazy pri-er inf
@@ -185,8 +185,6 @@ main(int argc, char **argv)
             p.cycleBudget = parseFlagValue<uint64_t>(a, next());
         } else if (a == "--watchdog-cycles") {
             p.watchdogCycles = parseFlagValue<uint64_t>(a, next());
-        } else if (a == "--no-watchdog") {
-            p.watchdog = false;
         } else if (a == "--inject-fault") {
             std::string err;
             if (!pri::faults::parseFaultArg(next(), fault, err))
@@ -204,7 +202,7 @@ main(int argc, char **argv)
                          "[--check-golden] [--sweep N] [--jobs N] "
                          "[--journal PATH] [--timeout-ms N] "
                          "[--cycle-budget N] "
-                         "[--watchdog-cycles N] [--no-watchdog] "
+                         "[--watchdog-cycles N] "
                          "[--inject-fault KIND[@POINT]]\n");
             return 1;
         }

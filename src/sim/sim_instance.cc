@@ -59,7 +59,6 @@ coreConfigFor(const RunParams &params)
     cfg.injectFault = params.injectFault;
     cfg.faultSpec = params.faultSpec;
 
-    cfg.watchdogEnabled = params.watchdog;
     if (params.watchdogCycles != 0)
         cfg.watchdogCycles = params.watchdogCycles;
     cfg.cycleBudget = params.cycleBudget;

@@ -101,10 +101,10 @@ struct RunParams
      */
     faults::FaultSpec faultSpec;
     /**
-     * Forward-progress watchdog (see core::CoreConfig). Enabled by
-     * default; watchdogCycles 0 takes the built-in default.
+     * Forward-progress watchdog threshold (see
+     * core::CoreConfig::watchdogCycles); 0 takes the built-in
+     * default. The watchdog always runs and only observes.
      */
-    bool watchdog = true;
     uint64_t watchdogCycles = 0;
     /** Hard cycle budget, 0 = unlimited: exceeding it raises
      *  core::ProgressStallError instead of running forever. */

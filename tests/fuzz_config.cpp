@@ -43,9 +43,10 @@ drawPoint(uint64_t seed, uint64_t index)
     // One salt per axis: axes stay independent, and adding an axis
     // never reshuffles the others. Salts 7, 9 and 13 are retired
     // (they drew the checkpoint, wakeup and front-end implementation
-    // switches), and so are 11 and 12 (a retry policy's attempt
-    // budget and planted transient failures); never reuse them, or
-    // old seed/index replays would silently denote different points.
+    // switches), and so are 10 (the watchdog's off switch) and 11
+    // and 12 (a retry policy's attempt budget and planted transient
+    // failures); never reuse them, or old seed/index replays would
+    // silently denote different points.
     auto pick = [&](uint64_t salt, uint64_t bound) {
         return hashCombine(seed, index, salt) % bound;
     };
@@ -81,12 +82,10 @@ drawPoint(uint64_t seed, uint64_t index)
     p.narrowBitsOverride =
         kNarrowBits[pick(6, std::size(kNarrowBits))];
     p.seed = hashCombine(seed, index, 8);
-    // Robustness axes: the watchdog is observation-only, so fuzzing
-    // it on/off must never change a single golden-checked commit;
-    // the cycle budget turns any wedge the fuzzer ever finds into a
+    // The cycle budget turns any wedge the fuzzer ever finds into a
     // structured per-point failure instead of a hung CI job. (Salts
-    // 16/17 belong to the fault-campaign axis; salt 14 is retired.)
-    p.watchdog = pick(10, 2) != 0;
+    // 16/17 belong to the fault-campaign axis; salts 10 and 14 are
+    // retired.)
     // Read-port arbitration axis: a binding budget reorders issue,
     // so every limited draw cross-checks the arbitrated machine
     // against the golden model.

@@ -53,15 +53,6 @@ TEST(Cache, ProbeDoesNotAllocate)
     EXPECT_EQ(c.hits(), 0u); // probes don't count
 }
 
-TEST(Cache, FlushInvalidatesEverything)
-{
-    Cache c(tiny());
-    c.access(0x300);
-    c.flush();
-    EXPECT_FALSE(c.probe(0x300));
-    EXPECT_EQ(c.hits() + c.misses(), 0u);
-}
-
 TEST(Cache, PaperGeometriesConstruct)
 {
     Cache il1(CacheParams{"il1", 32 * 1024, 2, 32, 2});

@@ -58,11 +58,18 @@ TEST(Core, IpcWindowMeasuresOnlyAfterMark)
 
 TEST(Core, RespectsMaxCycles)
 {
-    const auto cfg = CoreConfig::fourWide(
-        rename::RenameConfig::base(64, 7));
+    // cfg.cycleBudget is the one cycle cap: a run that cannot reach
+    // its commit target stops there with a structured stall.
+    auto cfg = CoreConfig::fourWide(rename::RenameConfig::base(64, 7));
+    cfg.cycleBudget = 2000;
     CoreHarness h(cfg, "gzip");
-    h.cpu.run(1000000000, 2000); // unreachable commit target
-    EXPECT_LE(h.cpu.cycles(), 2000u);
+    try {
+        h.cpu.run(1000000000); // unreachable commit target
+        FAIL() << "cycle budget never tripped";
+    } catch (const ProgressStallError &e) {
+        EXPECT_EQ(e.stall.kind, ProgressStall::Kind::CycleBudget);
+    }
+    EXPECT_EQ(h.cpu.cycles(), 2000u);
 }
 
 TEST(Core, OccupancyBoundedByFileSize)

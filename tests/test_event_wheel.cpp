@@ -2,8 +2,9 @@
  * @file
  * Tests for the core's intrusive timing wheel (core/event_wheel.hh):
  * FIFO order per (bucket, list), O(1) unlink from any position,
- * horizon wrap-around, and a randomized drive cross-checked against a
- * reference of one std::deque per (cycle, list). The drive mirrors
+ * horizon wrap-around, the audit's empty-block skip, and a
+ * randomized drive cross-checked against a reference of one
+ * std::deque per (cycle, list). The drive mirrors
  * how the core uses the wheel: every cycle pops due nodes list by
  * list, re-pushes some of them into later cycles while draining, and
  * unlinks pending nodes at random (squash).
@@ -83,6 +84,34 @@ TEST(SlotWheel, BucketsWrapAtTheHorizon)
         EXPECT_EQ(w.pop(c, 0), c == now + 1 ? 1 : -1) << c;
     EXPECT_EQ(w.pop(far, 0), 0);
     EXPECT_EQ(w.audit([](uint32_t) {}), 0u);
+}
+
+TEST(SlotWheel, AuditSkipsOnlyEmptyBlocks)
+{
+    // audit() skips 16 lists at a time when all of them are empty.
+    // Nodes sit at both ends of the first block, alone at the end of
+    // one block and at the start of the next, and in the last and
+    // first lists, which cycles either side of a horizon wrap fill.
+    constexpr uint64_t kH = SlotWheel::kHorizon;
+    const uint64_t t0 = 5 * kH + 1000;
+    for (unsigned lists : {1u, 2u}) {
+        const unsigned total = kH * lists;
+        const std::vector<unsigned> at_list = {
+            0, 15, 15, 31, 32, total - 16, total - 1};
+        SlotWheel w(static_cast<unsigned>(at_list.size()), lists);
+        for (uint32_t n = 0; n < at_list.size(); ++n) {
+            const uint64_t bucket = at_list[n] / lists;
+            // The first cycle at or after t0 that lands in bucket.
+            const uint64_t when = t0 + (bucket + kH - t0 % kH) % kH;
+            w.push(n, when, at_list[n] % lists);
+        }
+        std::vector<unsigned> visits(at_list.size(), 0);
+        EXPECT_EQ(w.audit([&](uint32_t n) { ++visits[n]; }),
+                  at_list.size())
+            << lists << " lists";
+        EXPECT_EQ(visits, std::vector<unsigned>(at_list.size(), 1))
+            << lists << " lists";
+    }
 }
 
 TEST(SlotWheel, RandomDriveMatchesReference)

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for RAM and CAM map tables (paper §2.1), including the
- * demonstration of why PRI requires a RAM map: a CAM encodes
- * physical register numbers positionally, so one "value" could map
- * to at most one logical register at a time.
+ * Tests for the RAM map table (paper §2.1), including the property
+ * PRI needs from it: any number of logical registers can hold the
+ * same inlined value at once.
  */
 
 #include <gtest/gtest.h>
@@ -46,7 +45,8 @@ TEST(RamMapTable, WriteAndRead)
 TEST(RamMapTable, ImmediateModeCoexistsForManyLogicals)
 {
     // The RAM map can hold the same inlined value for any number of
-    // logical registers simultaneously — the property the CAM lacks.
+    // logical registers simultaneously. A CAM map, one entry per
+    // physical register, could hold it for only one.
     RamMapTable map;
     for (unsigned i = 0; i < isa::kNumLogicalRegs; ++i)
         map.write(i, MapEntry::makeImm(0));
@@ -54,89 +54,6 @@ TEST(RamMapTable, ImmediateModeCoexistsForManyLogicals)
         EXPECT_TRUE(map.read(i).imm);
         EXPECT_EQ(map.read(i).value, 0u);
     }
-}
-
-TEST(RamMapTable, CheckpointRestore)
-{
-    RamMapTable map;
-    map.write(3, MapEntry::makePreg(50));
-    const auto snap = map.copy();
-    map.write(3, MapEntry::makeImm(1));
-    map.write(4, MapEntry::makePreg(51));
-    map.restore(snap);
-    EXPECT_EQ(map.read(3).preg, 50);
-    EXPECT_EQ(map.read(4).preg, 4);
-}
-
-TEST(RamMapTable, CheckpointRestoreAcrossInlineTransitions)
-{
-    // PRI flow: a checkpoint can capture entries in either
-    // addressing mode, and either entry may have switched modes by
-    // the time a misprediction restores — inlined value overwritten
-    // by a wide (pointer) redefinition, and pointer replaced by an
-    // inlined narrow result. Restore must resurrect the exact mode
-    // and payload of the checkpoint, both directions.
-    RamMapTable map;
-    map.write(3, MapEntry::makeImm(42));
-    map.write(4, MapEntry::makePreg(50));
-    const auto snap = map.copy();
-
-    map.write(3, MapEntry::makePreg(51)); // inlined -> pointer
-    map.write(4, MapEntry::makeImm(7));   // pointer -> inlined
-    ASSERT_FALSE(map.read(3).imm);
-    ASSERT_TRUE(map.read(4).imm);
-
-    map.restore(snap);
-    EXPECT_TRUE(map.read(3).imm);
-    EXPECT_EQ(map.read(3).value, 42u);
-    EXPECT_FALSE(map.read(4).imm);
-    EXPECT_EQ(map.read(4).preg, 50);
-}
-
-TEST(CamMapTable, LookupAfterMap)
-{
-    CamMapTable cam(64);
-    EXPECT_EQ(*cam.lookup(7), 7u); // identity init
-    cam.map(7, 40);
-    EXPECT_EQ(*cam.lookup(7), 40u);
-}
-
-TEST(CamMapTable, MapClearsPreviousValidBit)
-{
-    CamMapTable cam(64);
-    const auto prev = cam.map(7, 40);
-    ASSERT_TRUE(prev.has_value());
-    EXPECT_EQ(*prev, 7u);
-    cam.map(7, 41);
-    // Entry 40 is no longer valid: only one mapping per logical.
-    EXPECT_EQ(*cam.lookup(7), 41u);
-}
-
-TEST(CamMapTable, OneValuePerLogicalLimitation)
-{
-    // Paper §2.1: "if the value 0 occurs in 2 logical registers at
-    // the same time, only one of those instances can be stored in a
-    // CAM map." Model the value-0 encoding as physical entry 0:
-    // mapping a second logical register to it steals the first.
-    CamMapTable cam(64);
-    cam.map(1, 0); // logical 1 "holds value 0"
-    EXPECT_EQ(*cam.lookup(1), 0u);
-    cam.map(2, 0); // logical 2 wants value 0 too
-    EXPECT_EQ(*cam.lookup(2), 0u);
-    // Logical 1 lost its mapping: the CAM cannot express both.
-    EXPECT_FALSE(cam.lookup(1).has_value());
-}
-
-TEST(CamMapTable, ValidBitCheckpointing)
-{
-    CamMapTable cam(64);
-    cam.map(3, 40);
-    const auto bits = cam.checkpointValidBits();
-    cam.map(3, 41);
-    cam.unmap(40);
-    cam.restoreValidBits(bits);
-    // Entry 40 valid again, 41's mapping rolled back.
-    EXPECT_EQ(*cam.lookup(3), 40u);
 }
 
 } // namespace

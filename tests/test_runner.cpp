@@ -517,7 +517,6 @@ TEST(SimulationRunner, ParamsHashSeparatesResultsOnly)
 {
     RunParams a;
     RunParams b = a;
-    b.watchdog = false;
     b.watchdogCycles = 777;
     b.timeoutMs = 123;
     b.checkInvariants = true;

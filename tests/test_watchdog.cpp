@@ -5,8 +5,9 @@
  * parameters and a pipeline-event trace; budgets must trip with the
  * right kind; and — the false-positive guard — a healthy
  * memory-bound run under a tight threshold must complete with a
- * report byte-identical to the same run with the watchdog off,
- * because detection is observation-only.
+ * report byte-identical to the same run at the default threshold
+ * and at one too large ever to sample, because detection is
+ * observation-only.
  */
 
 #include <gtest/gtest.h>
@@ -83,6 +84,10 @@ TEST(FlightRecorder, LongContextIsTruncatedNotOverflowed)
 
 // ---- watchdog detection ----
 
+/** A threshold no run reaches: the first livelock audit would come
+ *  after 1.25e11 cycles, so the watchdog never samples. */
+constexpr uint64_t kUnsampledThreshold = 1'000'000'000'000;
+
 sim::RunParams
 wedgedParams()
 {
@@ -122,18 +127,27 @@ TEST(Watchdog, DetectsWedgedScheduler)
     }
 }
 
+/**
+ * A threshold too large ever to sample leaves the watchdog in effect
+ * off, and a wedged run ends at the cycle budget. At the default
+ * threshold the livelock audit catches a wedge at cycle 312,500 at
+ * the earliest, so the shorter budget trips first there too.
+ */
 TEST(Watchdog, DisabledWatchdogDefersToCycleBudget)
 {
-    auto p = wedgedParams();
-    p.watchdog = false;
-    p.cycleBudget = 200000;
-    try {
-        sim::simulate(p);
-        FAIL() << "wedged run completed";
-    } catch (const core::ProgressStallError &e) {
-        EXPECT_EQ(e.stall.kind,
-                  core::ProgressStall::Kind::CycleBudget);
-        EXPECT_GE(e.stall.cycle, 200000u);
+    for (const uint64_t threshold : {kUnsampledThreshold, uint64_t{0}}) {
+        SCOPED_TRACE(threshold);
+        auto p = wedgedParams();
+        p.watchdogCycles = threshold;
+        p.cycleBudget = 200000;
+        try {
+            sim::simulate(p);
+            FAIL() << "wedged run completed";
+        } catch (const core::ProgressStallError &e) {
+            EXPECT_EQ(e.stall.kind,
+                      core::ProgressStall::Kind::CycleBudget);
+            EXPECT_GE(e.stall.cycle, 200000u);
+        }
     }
 }
 
@@ -197,7 +211,8 @@ TEST(Watchdog, StallDescribeNamesOccupancies)
  * False-positive guard: a memory-bound benchmark (long dependent
  * L2-miss chains, the slowest committer in the suite) under a tight
  * threshold must NOT trip — and because the watchdog only observes,
- * the stats report must be byte-identical with it on or off.
+ * the stats report must be byte-identical to the default threshold
+ * and to one that never samples.
  */
 TEST(Watchdog, MemoryBoundRunUnderTightThresholdIsClean)
 {
@@ -208,17 +223,22 @@ TEST(Watchdog, MemoryBoundRunUnderTightThresholdIsClean)
     p.measureInsts = 20000;
     p.watchdogCycles = 10000;
 
-    auto off = p;
-    off.watchdog = false;
+    auto unsampled = p;
+    unsampled.watchdogCycles = kUnsampledThreshold;
+    auto at_default = p;
+    at_default.watchdogCycles = 0;
 
-    const auto with_wd = sim::simulate(p);
-    const auto without_wd = sim::simulate(off);
-    EXPECT_EQ(with_wd.report, without_wd.report);
-    EXPECT_EQ(with_wd.cycles, without_wd.cycles);
-    EXPECT_EQ(with_wd.ipc, without_wd.ipc);
+    const auto tight = sim::simulate(p);
+    for (const auto &other : {unsampled, at_default}) {
+        const auto r = sim::simulate(other);
+        SCOPED_TRACE(other.watchdogCycles);
+        EXPECT_EQ(tight.report, r.report);
+        EXPECT_EQ(tight.cycles, r.cycles);
+        EXPECT_EQ(tight.ipc, r.ipc);
+    }
 }
 
-/** Same guard across every scheme at default thresholds. */
+/** Same guard across every scheme at the default threshold. */
 TEST(Watchdog, AllSchemesCleanAtDefaultThreshold)
 {
     for (const auto scheme : sim::kAllSchemes) {
@@ -227,11 +247,11 @@ TEST(Watchdog, AllSchemesCleanAtDefaultThreshold)
         p.scheme = scheme;
         p.warmupInsts = 2000;
         p.measureInsts = 8000;
-        auto off = p;
-        off.watchdog = false;
+        auto unsampled = p;
+        unsampled.watchdogCycles = kUnsampledThreshold;
         SCOPED_TRACE(sim::schemeName(scheme));
         EXPECT_EQ(sim::simulate(p).report,
-                  sim::simulate(off).report);
+                  sim::simulate(unsampled).report);
     }
 }
 
