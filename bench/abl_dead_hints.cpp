@@ -33,9 +33,10 @@ runHints(const std::string &bench, double hint_frac, bool pri_on,
             workload::profileByName(bench);
         prof.deadHintFrac = hint_frac;
         workload::SyntheticProgram prog(prof, seed);
-        const auto rc = pri_on
-            ? rename::RenameConfig::priRefcountCkptcount(64, 7)
-            : rename::RenameConfig::base(64, 7);
+        const auto rc = rename::RenameConfig::of(
+            pri_on ? rename::Scheme::PriRefcountCkptcount
+                   : rename::Scheme::Base,
+            64, 7);
         StatGroup stats;
         core::OutOfOrderCore cpu(core::CoreConfig::fourWide(rc),
                                  prog, stats);

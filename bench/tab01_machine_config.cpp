@@ -63,13 +63,14 @@ main(int argc, char **argv)
     pri::bench::parseOptions(
         argc, argv, {.json = false, .journal = false, .timeout = false});
     std::printf("=== Table 1: machine configurations ===\n\n");
-    const auto rn4 = pri::rename::RenameConfig::base(
-        64, pri::core::CoreConfig::narrowBitsForWidth(4));
-    const auto rn8 = pri::rename::RenameConfig::base(
-        64, pri::core::CoreConfig::narrowBitsForWidth(8));
-    show("4-wide (current generation)",
-         pri::core::CoreConfig::fourWide(rn4));
-    show("8-wide (future machine)",
-         pri::core::CoreConfig::eightWide(rn8));
+    using pri::core::CoreConfig;
+    using pri::rename::RenameConfig;
+    using pri::rename::Scheme;
+    const auto rn4 = RenameConfig::of(
+        Scheme::Base, 64, CoreConfig::narrowBitsForWidth(4));
+    const auto rn8 = RenameConfig::of(
+        Scheme::Base, 64, CoreConfig::narrowBitsForWidth(8));
+    show("4-wide (current generation)", CoreConfig::fourWide(rn4));
+    show("8-wide (future machine)", CoreConfig::eightWide(rn8));
     return 0;
 }

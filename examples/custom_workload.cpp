@@ -59,8 +59,9 @@ main()
     // The two configurations are independent; fan them out across
     // the runner's thread pool (each run builds its own core).
     const rename::RenameConfig configs[] = {
-        rename::RenameConfig::base(64, 7),
-        rename::RenameConfig::priRefcountCkptcount(64, 7),
+        rename::RenameConfig::of(rename::Scheme::Base, 64, 7),
+        rename::RenameConfig::of(rename::Scheme::PriRefcountCkptcount,
+                                 64, 7),
     };
     std::vector<std::tuple<double, double, double>> out(2);
     sim::SimulationRunner().forEach(

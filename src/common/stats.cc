@@ -2,28 +2,8 @@
 
 #include <cstdio>
 
-#include "common/logging.hh"
-
 namespace pri
 {
-
-StatScalar &
-StatGroup::registerScalar(const std::string &name)
-{
-    auto [it, inserted] = scalars.try_emplace(name);
-    if (!inserted)
-        panic("duplicate scalar stat registration: {}", name);
-    return it->second;
-}
-
-StatAverage &
-StatGroup::registerAverage(const std::string &name)
-{
-    auto [it, inserted] = avgs.try_emplace(name);
-    if (!inserted)
-        panic("duplicate average stat registration: {}", name);
-    return it->second;
-}
 
 double
 StatGroup::scalarValue(const std::string &name) const
@@ -51,26 +31,7 @@ StatGroup::report(const std::string &prefix) const
                       a.min(), a.max());
         out += line;
     }
-    for (const auto &[name, d] : dists) {
-        std::snprintf(line, sizeof(line),
-                      "%s%-44s n %10llu  mean %10.3f\n",
-                      prefix.c_str(), name.c_str(),
-                      static_cast<unsigned long long>(d.count()),
-                      d.mean());
-        out += line;
-    }
     return out;
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &[name, s] : scalars)
-        s.reset();
-    for (auto &[name, a] : avgs)
-        a.reset();
-    for (auto &[name, d] : dists)
-        d.reset();
 }
 
 } // namespace pri

@@ -1,10 +1,11 @@
 /**
  * @file
  * A small statistics package in the spirit of gem5's: named scalar
- * counters, averages, and fixed-bucket distributions, grouped in a
- * registry that can render a human-readable report. Simulation
- * objects register their stats against a StatGroup; benches and
- * examples query them by name.
+ * counters and averages, grouped in a registry that can render a
+ * human-readable report, plus a fixed-bucket distribution for
+ * harnesses that histogram values themselves. Simulation objects
+ * register their stats against a StatGroup; benches and examples
+ * query them by name.
  */
 
 #ifndef PRI_COMMON_STATS_HH
@@ -29,7 +30,6 @@ class StatScalar
     StatScalar &operator-=(double x) { val -= x; return *this; }
     void set(double x) { val = x; }
     double value() const { return val; }
-    void reset() { val = 0.0; }
 
   private:
     double val = 0.0;
@@ -57,13 +57,6 @@ class StatAverage
     double min() const { return mn; }
     double max() const { return mx; }
 
-    void
-    reset()
-    {
-        cnt = 0;
-        sum = mn = mx = 0.0;
-    }
-
   private:
     uint64_t cnt = 0;
     double sum = 0.0;
@@ -80,14 +73,6 @@ class StatDistribution
 {
   public:
     explicit StatDistribution(size_t size = 0) : buckets(size, 0) {}
-
-    /** Resize and clear. */
-    void
-    init(size_t size)
-    {
-        buckets.assign(size, 0);
-        samples = 0;
-    }
 
     /** Record a sample at integer position @p x (clamped). */
     void
@@ -130,13 +115,6 @@ class StatDistribution
         return acc / samples;
     }
 
-    void
-    reset()
-    {
-        buckets.assign(buckets.size(), 0);
-        samples = 0;
-    }
-
   private:
     std::vector<uint64_t> buckets;
     uint64_t samples = 0;
@@ -149,27 +127,15 @@ class StatDistribution
 class StatGroup
 {
   public:
-    /** Create or fetch a scalar stat. */
-    StatScalar &scalar(const std::string &name) { return scalars[name]; }
-    /** Create or fetch an average stat. */
-    StatAverage &average(const std::string &name) { return avgs[name]; }
-
     /**
-     * Register a brand-new scalar, panicking if @p name already
-     * exists. Components intern their hot-path counters through
-     * this at construction time and keep the returned reference —
-     * updates then cost one add, never a map lookup. References
-     * stay valid for the StatGroup's lifetime (node-based map).
+     * Create or fetch a scalar stat. Components intern their
+     * hot-path counters through this at construction and keep the
+     * reference, so an update costs one add: references stay valid
+     * for the group's lifetime (node-based map).
      */
-    StatScalar &registerScalar(const std::string &name);
-    /** Register a brand-new average; panics on duplicates. */
-    StatAverage &registerAverage(const std::string &name);
-    /** Create or fetch a distribution stat. */
-    StatDistribution &
-    distribution(const std::string &name)
-    {
-        return dists[name];
-    }
+    StatScalar &scalar(const std::string &name) { return scalars[name]; }
+    /** Create or fetch an average stat (same reference guarantee). */
+    StatAverage &average(const std::string &name) { return avgs[name]; }
 
     /** Read-only lookup; returns 0 for unknown names. */
     double scalarValue(const std::string &name) const;
@@ -177,29 +143,9 @@ class StatGroup
     /** Render a sorted "name value" report. */
     std::string report(const std::string &prefix = "") const;
 
-    /** Zero every registered stat. */
-    void resetAll();
-
-    const std::map<std::string, StatScalar> &
-    allScalars() const
-    {
-        return scalars;
-    }
-    const std::map<std::string, StatAverage> &
-    allAverages() const
-    {
-        return avgs;
-    }
-    const std::map<std::string, StatDistribution> &
-    allDistributions() const
-    {
-        return dists;
-    }
-
   private:
     std::map<std::string, StatScalar> scalars;
     std::map<std::string, StatAverage> avgs;
-    std::map<std::string, StatDistribution> dists;
 };
 
 } // namespace pri

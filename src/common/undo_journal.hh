@@ -73,12 +73,6 @@ class UndoJournal
         }
     }
 
-    /** Records currently replayable (between trim point and seq). */
-    size_t liveRecords() const { return buf.size() - head; }
-
-    void reserve(size_t n) { buf.reserve(n); }
-    size_t capacity() const { return buf.capacity(); }
-
     /**
      * Reserve enough for @p live_span live records plus the largest
      * dead prefix trimTo() tolerates before compacting, so a

@@ -66,6 +66,13 @@ enum class InjectedFault : uint8_t
      * budget.
      */
     PortOverGrant,
+    /**
+     * PRI frees a narrow destination's register without writing the
+     * inlined value into the map, so the map names a free register
+     * (see rename::RenameConfig::injectFreeWithoutInline). Caught by
+     * the checker's invariant audit.
+     */
+    FreeWithoutInline,
 };
 
 /** Commit count at which WedgeScheduler freezes the select stage

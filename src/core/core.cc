@@ -858,7 +858,7 @@ OutOfOrderCore::onRetire(uint32_t idx)
         // writebacks exhaust the file while the head still waits —
         // the classic virtual-physical deadlock. Without VP the
         // writeback never reads the privilege, so it is not scanned.
-        const bool privileged = !cfg.rename.virtualPhysical ||
+        const bool privileged = !rn.policy().virtualPhysical ||
             (robHead <= idx
                  ? !anyUnretiredInRange(robHead, idx)
                  : !anyUnretiredInRange(robHead, cfg.robSize) &&

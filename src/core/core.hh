@@ -290,7 +290,6 @@ class OutOfOrderCore
     double avgFpOccupancy() const;
 
     StatGroup &stats() { return sg; }
-    rename::RenameUnit &renameUnit() { return rn; }
     memory::MemoryHierarchy &memory() { return mem; }
 
     /** Validate cross-module invariants; panics on violation. */
@@ -311,9 +310,6 @@ class OutOfOrderCore
      * Masked-vs-SDC discriminator when the golden checker is off.
      */
     uint64_t archSignature() const { return archSig_; }
-
-    /** Has the configured transient fault (cfg.faultSpec) fired? */
-    bool faultFired() const { return faultFired_; }
 
     /**
      * Arm a wall-clock budget for subsequent run() calls: once

@@ -10,116 +10,6 @@
 namespace pri::rename
 {
 
-// ---------------------------------------------------------------
-// RenameConfig
-// ---------------------------------------------------------------
-
-std::string
-RenameConfig::schemeName() const
-{
-    if (virtualPhysical)
-        return pri ? "VP+PRI" : "VP";
-    if (numPhysRegs >= 1024)
-        return "InfPR";
-    if (pri && earlyRelease)
-        return "PRI+ER";
-    if (pri) {
-        std::string n = priIdeal ? "PRI-ideal" : "PRI-refcount";
-        n += lazyCkptUpdate ? "+lazy" : "+ckptcount";
-        return n;
-    }
-    if (earlyRelease)
-        return "ER";
-    return "Base";
-}
-
-RenameConfig
-RenameConfig::base(unsigned pregs, unsigned narrow_bits)
-{
-    RenameConfig c;
-    c.numPhysRegs = pregs;
-    c.narrowBitsInt = narrow_bits;
-    return c;
-}
-
-RenameConfig
-RenameConfig::er(unsigned pregs, unsigned narrow_bits)
-{
-    RenameConfig c = base(pregs, narrow_bits);
-    c.earlyRelease = true;
-    return c;
-}
-
-RenameConfig
-RenameConfig::priRefcountCkptcount(unsigned pregs,
-                                   unsigned narrow_bits)
-{
-    RenameConfig c = base(pregs, narrow_bits);
-    c.pri = true;
-    return c;
-}
-
-RenameConfig
-RenameConfig::priRefcountLazy(unsigned pregs, unsigned narrow_bits)
-{
-    RenameConfig c = priRefcountCkptcount(pregs, narrow_bits);
-    c.lazyCkptUpdate = true;
-    return c;
-}
-
-RenameConfig
-RenameConfig::priIdealCkptcount(unsigned pregs, unsigned narrow_bits)
-{
-    RenameConfig c = priRefcountCkptcount(pregs, narrow_bits);
-    c.priIdeal = true;
-    return c;
-}
-
-RenameConfig
-RenameConfig::priIdealLazy(unsigned pregs, unsigned narrow_bits)
-{
-    RenameConfig c = priIdealCkptcount(pregs, narrow_bits);
-    c.lazyCkptUpdate = true;
-    return c;
-}
-
-RenameConfig
-RenameConfig::priPlusEr(unsigned pregs, unsigned narrow_bits)
-{
-    RenameConfig c = priRefcountCkptcount(pregs, narrow_bits);
-    c.earlyRelease = true;
-    return c;
-}
-
-RenameConfig
-RenameConfig::infinite(unsigned narrow_bits)
-{
-    // Enough registers that renaming can never stall: ROB-depth of
-    // in-flight destinations plus the architected state.
-    return base(1024, narrow_bits);
-}
-
-RenameConfig
-RenameConfig::virtualPhys(unsigned pregs, unsigned narrow_bits)
-{
-    RenameConfig c = base(pregs, narrow_bits);
-    c.virtualPhysical = true;
-    return c;
-}
-
-RenameConfig
-RenameConfig::virtualPhysPlusPri(unsigned pregs,
-                                 unsigned narrow_bits)
-{
-    RenameConfig c = virtualPhys(pregs, narrow_bits);
-    c.pri = true;
-    return c;
-}
-
-// ---------------------------------------------------------------
-// RenameUnit
-// ---------------------------------------------------------------
-
 RenameStats::RenameStats(StatGroup &sg)
     : cycles(sg.scalar("rename.cycles")),
       occupancyIntAccum(sg.scalar("rename.occupancyIntAccum")),
@@ -153,15 +43,14 @@ RenameStats::RenameStats(StatGroup &sg)
 }
 
 RenameUnit::RenameUnit(const RenameConfig &config, StatGroup &sg)
-    : cfg(config), stats(sg),
+    : cfg(config), policy_(config.policy()), stats(sg),
       intState(config.renameTagSpace(), isa::kNumLogicalRegs),
       fpState(config.renameTagSpace(), isa::kNumLogicalRegs)
 {
     PRI_ASSERT(cfg.numPhysRegs > isa::kNumLogicalRegs,
                "need more physical than architected registers");
-    PRI_ASSERT(!cfg.virtualPhysical ||
-                   cfg.numPhysRegs >
-                       isa::kNumLogicalRegs + cfg.vpReserve,
+    PRI_ASSERT(!policy_.virtualPhysical ||
+                   cfg.numPhysRegs > isa::kNumLogicalRegs + kVpReserve,
                "VP storage budget too small");
     // Architected registers start allocated, complete, mapped, and
     // holding physical storage.
@@ -211,7 +100,8 @@ RenameUnit::ClassState::setMappedBy(isa::PhysRegId p, int16_t logical)
 bool
 RenameUnit::useCkptRefs() const
 {
-    return cfg.earlyRelease || (cfg.pri && !cfg.lazyCkptUpdate);
+    return policy_.earlyRelease ||
+        (policy_.pri && !policy_.lazyCkptUpdate);
 }
 
 bool
@@ -228,11 +118,11 @@ RenameUnit::beginCycle(uint64_t cycle)
     now = cycle;
     ++stats.cycles;
     stats.occupancyIntAccum +=
-        cfg.virtualPhysical ? intState.storageUsed
-                            : intState.freeList.numAllocated();
+        policy_.virtualPhysical ? intState.storageUsed
+                                : intState.freeList.numAllocated();
     stats.occupancyFpAccum +=
-        cfg.virtualPhysical ? fpState.storageUsed
-                            : fpState.freeList.numAllocated();
+        policy_.virtualPhysical ? fpState.storageUsed
+                                : fpState.freeList.numAllocated();
 }
 
 bool
@@ -289,7 +179,7 @@ RenameUnit::renameDest(isa::RegId dst, uint64_t future_value)
 
     const isa::PhysRegId p = st.freeList.allocate();
     auto &info = st.pregs[p];
-    if (!cfg.virtualPhysical) {
+    if (!policy_.virtualPhysical) {
         // Conventional allocation claims physical storage up front;
         // VP claims only at writeback, when the value exists.
         info.holdsStorage = true;
@@ -438,7 +328,7 @@ RenameUnit::releaseCheckpoint(CkptId id)
                "checkpoint committed before the branch resolved");
     ckptHead = ckptHead + 1 == ckptRing.size() ? 0 : ckptHead + 1;
     --ckptCount;
-    if (cfg.earlyRelease)
+    if (policy_.earlyRelease)
         sweepErFrees();
 }
 
@@ -453,7 +343,7 @@ RenameUnit::discardCheckpoint(CkptId id)
     if (useCkptRefs() && !c.resolved)
         takeCkptRefs(c, -1);
     --ckptCount;
-    if (cfg.earlyRelease && ckptCount == 0)
+    if (policy_.earlyRelease && ckptCount == 0)
         sweepErFrees();
     ++stats.checkpointsSquashed;
 }
@@ -543,7 +433,7 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
     PRI_ASSERT(dst.valid());
     auto &st = state(dst.cls);
     auto &info = st.pregs[preg];
-    if (cfg.virtualPhysical &&
+    if (policy_.virtualPhysical &&
         (!st.freeList.isAllocated(preg) || info.gen != gen)) {
         // A retried VP writeback whose register was meanwhile freed
         // (e.g. by ER after the unmap): nothing left to store.
@@ -558,7 +448,7 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
     if (first_attempt)
         info.writeCycle = now;
 
-    if (first_attempt && cfg.pri && isNarrow(dst.cls, value)) {
+    if (first_attempt && policy_.pri && isNarrow(dst.cls, value)) {
         ++(dst.cls == isa::RegClass::Int ? stats.narrowResultsInt
                                       : stats.narrowResultsFp);
 
@@ -578,7 +468,7 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
 
         // Lazy scheme: walk every checkpointed copy and apply the
         // same check-and-update (Figure 7 "More checkpoints?" loop).
-        if (cfg.lazyCkptUpdate) {
+        if (policy_.lazyCkptUpdate) {
             for (size_t k = 0; k < ckptCount; ++k) {
                 Checkpoint &c = liveCkpt(k);
                 auto &snap = dst.cls == isa::RegClass::Int
@@ -597,7 +487,7 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
 
         info.pendingNarrowFree = true;
 
-        if (cfg.priIdeal && info.consumerRefs > 0) {
+        if (policy_.priIdeal && info.consumerRefs > 0) {
             // Instant associative payload-RAM update: all in-flight
             // consumers switch to the immediate and drop their
             // references.
@@ -618,7 +508,7 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
     // survived the early-free paths above (an inlined-and-freed
     // value never consumes a physical register at all — the paper's
     // §6 VP+PRI synergy).
-    if (cfg.virtualPhysical && st.freeList.isAllocated(preg) &&
+    if (policy_.virtualPhysical && st.freeList.isAllocated(preg) &&
         info.gen == gen && !info.holdsStorage) {
         // Non-privileged writebacks stop short of the reserve; the
         // oldest unretired instruction may always claim — even past
@@ -626,7 +516,7 @@ RenameUnit::writeback(isa::RegId dst, isa::PhysRegId preg,
         // escape valve (cf. the conflict-resolution mechanisms of
         // the virtual-physical register papers). Overshoot is
         // transient and bounded by the commit width.
-        const unsigned limit = cfg.numPhysRegs - cfg.vpReserve;
+        const unsigned limit = cfg.numPhysRegs - kVpReserve;
         if (!privileged && st.storageUsed >= limit) {
             ++stats.vpWritebackStalls;
             return false;
@@ -702,7 +592,7 @@ RenameUnit::tryFree(isa::RegClass cls, isa::PhysRegId p)
 
     // The published ER scheme needs the unmap flag true in every
     // checkpointed copy; copies live to the commit horizon.
-    const bool er_eligible = cfg.earlyRelease && info.complete &&
+    const bool er_eligible = policy_.earlyRelease && info.complete &&
         erCkptHorizonClear(info.erUnmapWatermark);
     if (!info.pendingNarrowFree && !info.pendingCommitFree &&
         !er_eligible) {
@@ -1010,7 +900,7 @@ RenameUnit::checkInvariants() const
         // a generous margin: a real leak grows linearly with
         // committed instructions and blows through any fixed
         // multiple within a few thousand commits of an audit.
-        PRI_ASSERT(!cfg.virtualPhysical ||
+        PRI_ASSERT(!policy_.virtualPhysical ||
                        st.storageUsed <= 4 * cfg.numPhysRegs +
                            isa::kNumLogicalRegs,
                    "VP storage far over budget");

@@ -13,7 +13,8 @@
  *     counter, and pending-free state,
  *   - branch checkpoints (full map copies, R10000-style).
  *
- * The schemes of paper §3/§5 are switchable via RenameConfig:
+ * The schemes of paper §3/§5 are rows of kSchemeTable, chosen by
+ * RenameConfig::scheme:
  *   - Base: previous mapping freed when the redefining instruction
  *     commits.
  *   - ER [Moudgill et al.]: free as soon as complete + unmapped
@@ -33,7 +34,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hh"
@@ -45,19 +48,33 @@
 namespace pri::rename
 {
 
-/** Register-management scheme selection (paper §5 configurations). */
-struct RenameConfig
+/**
+ * The register-management schemes: paper §5's eight, then §6's two
+ * virtual-physical extensions. Each value indexes its kSchemeTable
+ * row. The sweep journal's key hashes the numeric value, so a new
+ * scheme is appended, never inserted.
+ */
+enum class Scheme
 {
-    /** Physical registers per class (paper default: 64). */
-    unsigned numPhysRegs = 64;
-    /** Narrow-value width for INT inlining (7 @4-wide, 10 @8-wide). */
-    unsigned narrowBitsInt = 7;
+    Base,
+    EarlyRelease,
+    PriRefcountCkptcount,
+    PriRefcountLazy,
+    PriIdealCkptcount,
+    PriIdealLazy,
+    PriPlusEr,
+    InfinitePregs,
+    VirtualPhysical,
+    VirtualPhysicalPlusPri,
+};
 
-    bool pri = false;          ///< physical register inlining on
-    bool priIdeal = false;     ///< instant payload update (vs refcount)
+/** The mechanisms a scheme switches on. */
+struct SchemePolicy
+{
+    bool pri = false;            ///< physical register inlining on
+    bool priIdeal = false;       ///< instant payload update (vs refcount)
     bool lazyCkptUpdate = false; ///< lazy ckpt walk (vs ckpt counting)
-    bool earlyRelease = false; ///< ER flags/counter scheme on
-
+    bool earlyRelease = false;   ///< ER flags/counter scheme on
     /**
      * Virtual-physical registers (paper §6 future work, after
      * Gonzalez et al. [7] / Monreal et al. [17]): renaming hands out
@@ -65,13 +82,92 @@ struct RenameConfig
      * is claimed only at writeback, when the value actually exists.
      * numPhysRegs then bounds the number of *written, live* values
      * rather than the number of renamed destinations. The last
-     * `width` instructions before the ROB head claim from a
-     * reserved pool so the pipeline can always drain (the classic
-     * VP deadlock avoidance).
+     * kVpReserve claims are left to the oldest instructions so the
+     * pipeline can always drain (the classic VP deadlock avoidance).
      */
     bool virtualPhysical = false;
-    /** Storage reserved for the oldest instructions under VP. */
-    unsigned vpReserve = 4;
+};
+
+/** One scheme: its paper legend label, pri_sim token and policy. */
+struct SchemeRow
+{
+    Scheme scheme;
+    /** Figure legend label; journal lines and every table print it. */
+    const char *label;
+    /** pri_sim's `-s` value. */
+    const char *token;
+    SchemePolicy policy;
+    /** Registers per class whatever the request asks for; 0 = as
+     *  asked. */
+    unsigned fixedPhysRegs = 0;
+};
+
+/** Every scheme, in Scheme order: the one place labels, tokens and
+ *  policy bits are written down. */
+inline constexpr SchemeRow kSchemeTable[] = {
+    {Scheme::Base, "Base", "base", {}},
+    {Scheme::EarlyRelease, "ER", "er", {.earlyRelease = true}},
+    {Scheme::PriRefcountCkptcount, "PRI-refcount+ckptcount", "pri",
+     {.pri = true}},
+    {Scheme::PriRefcountLazy, "PRI-refcount+lazy", "pri-lazy",
+     {.pri = true, .lazyCkptUpdate = true}},
+    {Scheme::PriIdealCkptcount, "PRI-ideal+ckptcount", "pri-ideal",
+     {.pri = true, .priIdeal = true}},
+    {Scheme::PriIdealLazy, "PRI-ideal+lazy", "pri-ideal-lazy",
+     {.pri = true, .priIdeal = true, .lazyCkptUpdate = true}},
+    {Scheme::PriPlusEr, "PRI+ER", "pri-er",
+     {.pri = true, .earlyRelease = true}},
+    // Enough registers that renaming never stalls: a ROB's worth of
+    // in-flight destinations plus the architected state.
+    {Scheme::InfinitePregs, "InfPR", "inf", {}, 1024},
+    {Scheme::VirtualPhysical, "VP", "vp", {.virtualPhysical = true}},
+    {Scheme::VirtualPhysicalPlusPri, "VP+PRI", "vp-pri",
+     {.pri = true, .virtualPhysical = true}},
+};
+
+static_assert([] {
+    for (size_t i = 0; i < std::size(kSchemeTable); ++i) {
+        if (kSchemeTable[i].scheme != static_cast<Scheme>(i))
+            return false;
+    }
+    return true;
+}(), "kSchemeTable rows must follow Scheme order");
+
+constexpr const SchemeRow &
+schemeRow(Scheme scheme)
+{
+    return kSchemeTable[static_cast<size_t>(scheme)];
+}
+
+/** Short display name matching the paper's figure legends. */
+constexpr const char *
+schemeName(Scheme scheme)
+{
+    return schemeRow(scheme).label;
+}
+
+/** The row whose pri_sim token is @p token, or nullptr. */
+constexpr const SchemeRow *
+schemeByToken(std::string_view token)
+{
+    for (const SchemeRow &row : kSchemeTable) {
+        if (token == row.token)
+            return &row;
+    }
+    return nullptr;
+}
+
+/** Storage reserved for the oldest instructions under VP. */
+constexpr unsigned kVpReserve = 4;
+
+/** A scheme and the register file it manages. */
+struct RenameConfig
+{
+    Scheme scheme = Scheme::Base;
+    /** Physical registers per class (paper default: 64). */
+    unsigned numPhysRegs = 64;
+    /** Narrow-value width for INT inlining (7 @4-wide, 10 @8-wide). */
+    unsigned narrowBitsInt = 7;
 
     /**
      * Checker-validation fault injection (tests only): on a narrow
@@ -79,41 +175,35 @@ struct RenameConfig
      * register *without* inlining its value into the map — the
      * reclaim-ordering bug PRI's map update exists to prevent. A
      * freed register then stays architecturally live, and the next
-     * reallocation corrupts it. Never set outside tests.
+     * reallocation corrupts it. Set only through
+     * core::InjectedFault::FreeWithoutInline.
      */
     bool injectFreeWithoutInline = false;
 
-    /** Human-readable scheme label for reports. */
-    std::string schemeName() const;
+    /** @p scheme with @p pregs registers per class (unless the
+     *  scheme fixes its own count) and @p narrow_bits INT width. */
+    static constexpr RenameConfig
+    of(Scheme scheme, unsigned pregs, unsigned narrow_bits)
+    {
+        const unsigned fixed = schemeRow(scheme).fixedPhysRegs;
+        return {scheme, fixed ? fixed : pregs, narrow_bits};
+    }
+
+    const SchemePolicy &
+    policy() const
+    {
+        return schemeRow(scheme).policy;
+    }
 
     /** Size of the rename-tag namespace: numPhysRegs normally, a
      *  large virtual tag space under virtual-physical renaming. */
     unsigned
     renameTagSpace() const
     {
-        return virtualPhysical
+        return policy().virtualPhysical
             ? (numPhysRegs > 1024 ? numPhysRegs : 1024)
             : numPhysRegs;
     }
-
-    // --- paper configurations ---
-    static RenameConfig base(unsigned pregs, unsigned narrow_bits);
-    static RenameConfig er(unsigned pregs, unsigned narrow_bits);
-    static RenameConfig priRefcountCkptcount(unsigned pregs,
-                                             unsigned narrow_bits);
-    static RenameConfig priRefcountLazy(unsigned pregs,
-                                        unsigned narrow_bits);
-    static RenameConfig priIdealCkptcount(unsigned pregs,
-                                          unsigned narrow_bits);
-    static RenameConfig priIdealLazy(unsigned pregs,
-                                     unsigned narrow_bits);
-    static RenameConfig priPlusEr(unsigned pregs,
-                                  unsigned narrow_bits);
-    static RenameConfig infinite(unsigned narrow_bits);
-    static RenameConfig virtualPhys(unsigned pregs,
-                                    unsigned narrow_bits);
-    static RenameConfig virtualPhysPlusPri(unsigned pregs,
-                                           unsigned narrow_bits);
 };
 
 /** What the rename stage hands a consumer for one source operand. */
@@ -184,7 +274,8 @@ class RenameUnit
   public:
     RenameUnit(const RenameConfig &config, StatGroup &stats);
 
-    const RenameConfig &config() const { return cfg; }
+    /** The scheme's policy bits (copied from its table row). */
+    const SchemePolicy &policy() const { return policy_; }
 
     /** Install the ideal-flavour payload rewrite hook. */
     void setIdealInlineHook(IdealInlineHook hook);
@@ -429,6 +520,8 @@ class RenameUnit
     Checkpoint &liveCkpt(size_t k);
 
     RenameConfig cfg;
+    /** cfg's policy bits, copied once so hot paths read a member. */
+    SchemePolicy policy_;
     RenameStats stats;
     ClassState intState;
     ClassState fpState;

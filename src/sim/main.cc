@@ -12,8 +12,8 @@
  *           [--watchdog-cycles N]
  *           [--inject-fault KIND[@POINT]]
  *
- * Schemes: base er pri pri-lazy pri-ideal pri-ideal-lazy pri-er inf
- *          vp vp-pri
+ * Schemes: the tokens of rename::kSchemeTable (base, er, pri, ...);
+ * an unknown one is fatal and lists them.
  *
  * `--sweep N` draws N points deterministically from the seed
  * (benchmark x scheme x register count, at the -w width) and runs
@@ -56,18 +56,12 @@ using pri::parseFlagValue;
 pri::sim::Scheme
 parseScheme(const std::string &s)
 {
-    using pri::sim::Scheme;
-    if (s == "base") return Scheme::Base;
-    if (s == "er") return Scheme::EarlyRelease;
-    if (s == "pri") return Scheme::PriRefcountCkptcount;
-    if (s == "pri-lazy") return Scheme::PriRefcountLazy;
-    if (s == "pri-ideal") return Scheme::PriIdealCkptcount;
-    if (s == "pri-ideal-lazy") return Scheme::PriIdealLazy;
-    if (s == "pri-er") return Scheme::PriPlusEr;
-    if (s == "inf") return Scheme::InfinitePregs;
-    if (s == "vp") return Scheme::VirtualPhysical;
-    if (s == "vp-pri") return Scheme::VirtualPhysicalPlusPri;
-    pri::fatal("unknown scheme '{}'", s);
+    if (const auto *row = pri::rename::schemeByToken(s))
+        return row->scheme;
+    std::string valid;
+    for (const auto &row : pri::rename::kSchemeTable)
+        valid += pri::fmtStr(" {}", row.token);
+    pri::fatal("unknown scheme '{}' (one of:{})", s, valid);
 }
 
 /**

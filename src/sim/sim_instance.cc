@@ -40,11 +40,12 @@ coreConfigFor(const RunParams &params)
     const unsigned narrow = params.narrowBitsOverride
         ? params.narrowBitsOverride
         : core::CoreConfig::narrowBitsForWidth(params.width);
-    auto rn_cfg =
-        makeRenameConfig(params.scheme, params.physRegs, narrow);
-    rn_cfg.injectFreeWithoutInline = params.injectFreeWithoutInline;
+    auto rn_cfg = rename::RenameConfig::of(params.scheme,
+                                           params.physRegs, narrow);
+    rn_cfg.injectFreeWithoutInline =
+        params.injectFault == core::InjectedFault::FreeWithoutInline;
     const unsigned min_regs = isa::kNumLogicalRegs +
-        (rn_cfg.virtualPhysical ? rn_cfg.vpReserve : 0);
+        (rn_cfg.policy().virtualPhysical ? rename::kVpReserve : 0);
     if (rn_cfg.numPhysRegs <= min_regs) {
         invalid("physRegs {} (must exceed {} under {})",
                 rn_cfg.numPhysRegs, min_regs,

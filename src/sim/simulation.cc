@@ -13,55 +13,6 @@
 namespace pri::sim
 {
 
-const char *
-schemeName(Scheme scheme)
-{
-    switch (scheme) {
-      case Scheme::Base: return "Base";
-      case Scheme::EarlyRelease: return "ER";
-      case Scheme::PriRefcountCkptcount:
-        return "PRI-refcount+ckptcount";
-      case Scheme::PriRefcountLazy: return "PRI-refcount+lazy";
-      case Scheme::PriIdealCkptcount: return "PRI-ideal+ckptcount";
-      case Scheme::PriIdealLazy: return "PRI-ideal+lazy";
-      case Scheme::PriPlusEr: return "PRI+ER";
-      case Scheme::InfinitePregs: return "InfPR";
-      case Scheme::VirtualPhysical: return "VP";
-      case Scheme::VirtualPhysicalPlusPri: return "VP+PRI";
-    }
-    return "?";
-}
-
-rename::RenameConfig
-makeRenameConfig(Scheme scheme, unsigned pregs, unsigned narrow_bits)
-{
-    using rename::RenameConfig;
-    switch (scheme) {
-      case Scheme::Base:
-        return RenameConfig::base(pregs, narrow_bits);
-      case Scheme::EarlyRelease:
-        return RenameConfig::er(pregs, narrow_bits);
-      case Scheme::PriRefcountCkptcount:
-        return RenameConfig::priRefcountCkptcount(pregs,
-                                                  narrow_bits);
-      case Scheme::PriRefcountLazy:
-        return RenameConfig::priRefcountLazy(pregs, narrow_bits);
-      case Scheme::PriIdealCkptcount:
-        return RenameConfig::priIdealCkptcount(pregs, narrow_bits);
-      case Scheme::PriIdealLazy:
-        return RenameConfig::priIdealLazy(pregs, narrow_bits);
-      case Scheme::PriPlusEr:
-        return RenameConfig::priPlusEr(pregs, narrow_bits);
-      case Scheme::InfinitePregs:
-        return RenameConfig::infinite(narrow_bits);
-      case Scheme::VirtualPhysical:
-        return RenameConfig::virtualPhys(pregs, narrow_bits);
-      case Scheme::VirtualPhysicalPlusPri:
-        return RenameConfig::virtualPhysPlusPri(pregs, narrow_bits);
-    }
-    fatal("unknown scheme");
-}
-
 uint64_t
 paramsHash(const RunParams &params)
 {
@@ -80,8 +31,10 @@ paramsHash(const RunParams &params)
                     params.schedSizeOverride);
     h = hashCombine(h, params.narrowBitsOverride,
                     static_cast<uint64_t>(params.injectFault));
-    h = hashCombine(h, params.injectFreeWithoutInline ? 1 : 0,
-                    params.prfReadPorts);
+    // The 0 stands where the retired injectFreeWithoutInline flag
+    // was hashed (now InjectedFault::FreeWithoutInline above), so
+    // every existing key stays valid.
+    h = hashCombine(h, 0, params.prfReadPorts);
     // Each 1 stands where a retired implementation switch
     // (checkpoint pool, event wakeup, traced front end) was hashed
     // when on, so every existing key, journal and store stays valid.

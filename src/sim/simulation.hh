@@ -18,25 +18,9 @@
 namespace pri::sim
 {
 
-/** The register-management schemes evaluated in paper §5. */
-enum class Scheme
-{
-    Base,
-    EarlyRelease,
-    PriRefcountCkptcount,
-    PriRefcountLazy,
-    PriIdealCkptcount,
-    PriIdealLazy,
-    PriPlusEr,
-    InfinitePregs,
-    /** §6 future work: delayed (virtual-physical) allocation. */
-    VirtualPhysical,
-    /** §6 future work: VP combined with PRI. */
-    VirtualPhysicalPlusPri,
-};
-
-/** Short display name matching the paper's figure legends. */
-const char *schemeName(Scheme scheme);
+/** The register-management schemes (rename::kSchemeTable). */
+using rename::Scheme;
+using rename::schemeName;
 
 /** All schemes in figure order (Fig 10 / Fig 12 legends). */
 constexpr Scheme kAllSchemes[] = {
@@ -50,10 +34,6 @@ constexpr Scheme kAllSchemes[] = {
     Scheme::InfinitePregs,
 };
 
-/** Build a rename configuration for a scheme. */
-rename::RenameConfig makeRenameConfig(Scheme scheme, unsigned pregs,
-                                      unsigned narrow_bits);
-
 /** One simulation request. */
 struct RunParams
 {
@@ -66,8 +46,7 @@ struct RunParams
     uint64_t seed = 42;
     bool checkInvariants = false; ///< run invariant checks at end
     /**
-     * Lockstep-compare every committed instruction (and, at
-     * intervals, the full architectural register file) against the
+     * Lockstep-compare every committed instruction against the
      * golden in-order model; panics on first divergence. The
      * PRI_CHECK_GOLDEN environment variable forces this on for all
      * runs in the process (used by CI to diff-check the figure
@@ -75,10 +54,10 @@ struct RunParams
      */
     bool checkGolden = false;
     /**
-     * Commits between the checker's full register-file compares and
-     * invariant audits. Small intervals tighten the detection
-     * latency for corruption that is not visible through commit
-     * values alone (at a simulation-speed cost).
+     * Commits between the checker's invariant audits
+     * (OutOfOrderCore::checkInvariants). Small intervals tighten the
+     * detection latency for corruption that is not visible through
+     * commit values alone (at a simulation-speed cost).
      */
     unsigned goldenAuditInterval = 64;
     unsigned schedSizeOverride = 0;  ///< 0 = width preset's size
@@ -89,9 +68,8 @@ struct RunParams
      * budgets must be >= 2; see core::CoreConfig::prfReadPorts.
      */
     unsigned prfReadPorts = 0;
-    /** Planted bugs for diff-checker validation (tests only). */
+    /** Planted bug for diff-checker validation (tests only). */
     core::InjectedFault injectFault = core::InjectedFault::None;
-    bool injectFreeWithoutInline = false;
     /**
      * One-shot transient fault (soft-error campaign injection):
      * site + counter-based trigger + mutation, fully deterministic

@@ -54,18 +54,7 @@ drawPoint(uint64_t seed, uint64_t index)
     static const char *kBenches[] = {"gzip",   "gcc",  "mcf",
                                      "crafty", "parser", "bzip2",
                                      "art",    "swim", "wupwise"};
-    static const sim::Scheme kSchemes[] = {
-        sim::Scheme::Base,
-        sim::Scheme::EarlyRelease,
-        sim::Scheme::PriRefcountCkptcount,
-        sim::Scheme::PriRefcountLazy,
-        sim::Scheme::PriIdealCkptcount,
-        sim::Scheme::PriIdealLazy,
-        sim::Scheme::PriPlusEr,
-        sim::Scheme::InfinitePregs,
-        sim::Scheme::VirtualPhysical,
-        sim::Scheme::VirtualPhysicalPlusPri,
-    };
+    const auto &kSchemes = rename::kSchemeTable; // all ten
     static const unsigned kPregs[] = {48, 64, 96, 128};
     static const unsigned kSched[] = {16, 32, 64};
     static const unsigned kNarrowBits[] = {4, 7, 10, 12};
@@ -76,7 +65,7 @@ drawPoint(uint64_t seed, uint64_t index)
     sim::RunParams p;
     p.benchmark = kBenches[pick(1, std::size(kBenches))];
     p.width = pick(2, 2) ? 8 : 4;
-    p.scheme = kSchemes[pick(3, std::size(kSchemes))];
+    p.scheme = kSchemes[pick(3, std::size(kSchemes))].scheme;
     p.physRegs = kPregs[pick(4, std::size(kPregs))];
     p.schedSizeOverride = kSched[pick(5, std::size(kSched))];
     p.narrowBitsOverride =

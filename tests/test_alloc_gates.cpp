@@ -175,8 +175,9 @@ measureCore(const char *bench, const rename::RenameConfig &rn,
 rename::RenameConfig
 baseRename()
 {
-    return rename::RenameConfig::base(
-        64, core::CoreConfig::narrowBitsForWidth(4));
+    return rename::RenameConfig::of(
+        rename::Scheme::Base, 64,
+        core::CoreConfig::narrowBitsForWidth(4));
 }
 
 TEST(AllocGates, CycleLoopSteadyState)
@@ -209,14 +210,12 @@ TEST(AllocGates, CheckpointRecoverySteadyState)
 TEST(AllocGates, CheckpointBookkeepingSteadyState)
 {
     const unsigned bits = core::CoreConfig::narrowBitsForWidth(4);
-    const rename::RenameConfig schemes[] = {
-        rename::RenameConfig::priRefcountCkptcount(64, bits),
-        rename::RenameConfig::er(64, bits),
-        rename::RenameConfig::priRefcountLazy(64, bits),
-    };
-    for (const auto &rn : schemes) {
-        SCOPED_TRACE(rn.schemeName());
-        const Window w = measureCore("gcc", rn);
+    for (const auto scheme : {rename::Scheme::PriRefcountCkptcount,
+                              rename::Scheme::EarlyRelease,
+                              rename::Scheme::PriRefcountLazy}) {
+        SCOPED_TRACE(rename::schemeName(scheme));
+        const Window w = measureCore(
+            "gcc", rename::RenameConfig::of(scheme, 64, bits));
         EXPECT_GT(w.ckptsRestored, 0.0) << "no branch recovery measured";
         EXPECT_EQ(w.allocs, 0u);
     }
@@ -229,8 +228,9 @@ TEST(AllocGates, CheckpointRingReservedUpFront)
     // then wrap and grow it to that bound: no step may allocate, not
     // even a new high-water mark reached while wrapped.
     const auto cfg = core::CoreConfig::fourWide(
-        rename::RenameConfig::priRefcountCkptcount(
-            64, core::CoreConfig::narrowBitsForWidth(4)));
+        rename::RenameConfig::of(
+            rename::Scheme::PriRefcountCkptcount, 64,
+            core::CoreConfig::narrowBitsForWidth(4)));
     StatGroup stats;
     rename::RenameUnit rn(cfg.rename, stats);
     rn.reserveCheckpoints(cfg.robSize);
@@ -283,8 +283,9 @@ TEST(AllocGates, CoreConstructionFootprint)
     const auto traces =
         workload::trace::TraceCache::global().acquire(program);
     const auto cfg = core::CoreConfig::eightWide(
-        rename::RenameConfig::base(
-            64, core::CoreConfig::narrowBitsForWidth(8)));
+        rename::RenameConfig::of(
+            rename::Scheme::Base, 64,
+            core::CoreConfig::narrowBitsForWidth(8)));
     StatGroup stats;
     const uint64_t a0 = allocs();
     const uint64_t b0 = g_bytes.load(std::memory_order_relaxed);

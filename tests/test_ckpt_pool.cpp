@@ -149,7 +149,7 @@ TEST(PooledCore, AutoSizedPoolNeverStalls)
     // every branch that can possibly be in flight, so allocate()'s
     // overflow assert never fires and the stall stat stays at 0.
     const auto cfg = core::CoreConfig::fourWide(
-        rename::RenameConfig::base(64, 7));
+        rename::RenameConfig::of(rename::Scheme::Base, 64, 7));
     CoreHarness h(cfg, "gcc", 23);
     h.cpu.run(30000);
     EXPECT_GT(h.stats.scalarValue("core.ckptsTaken"), 1000.0);

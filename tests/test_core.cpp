@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/core.hh"
 #include "workload/program.hh"
 
@@ -14,6 +16,9 @@ namespace pri::core
 {
 namespace
 {
+
+using rename::RenameConfig;
+using rename::Scheme;
 
 struct CoreHarness
 {
@@ -32,7 +37,7 @@ struct CoreHarness
 TEST(Core, MakesForwardProgress)
 {
     const auto cfg = CoreConfig::fourWide(
-        rename::RenameConfig::base(64, 7));
+        RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(5000);
     EXPECT_GE(h.cpu.committedInsts(), 5000u);
@@ -43,7 +48,7 @@ TEST(Core, MakesForwardProgress)
 TEST(Core, IpcWindowMeasuresOnlyAfterMark)
 {
     const auto cfg = CoreConfig::fourWide(
-        rename::RenameConfig::base(64, 7));
+        RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(3000);
     h.cpu.beginMeasurement();
@@ -60,7 +65,8 @@ TEST(Core, RespectsMaxCycles)
 {
     // cfg.cycleBudget is the one cycle cap: a run that cannot reach
     // its commit target stops there with a structured stall.
-    auto cfg = CoreConfig::fourWide(rename::RenameConfig::base(64, 7));
+    auto cfg =
+        CoreConfig::fourWide(RenameConfig::of(Scheme::Base, 64, 7));
     cfg.cycleBudget = 2000;
     CoreHarness h(cfg, "gzip");
     try {
@@ -75,7 +81,7 @@ TEST(Core, RespectsMaxCycles)
 TEST(Core, OccupancyBoundedByFileSize)
 {
     const auto cfg = CoreConfig::fourWide(
-        rename::RenameConfig::base(64, 7));
+        RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(2000);
     h.cpu.beginMeasurement();
@@ -91,10 +97,10 @@ TEST(Core, CommittedStreamIdenticalAcrossSchemes)
     // branch/load counts over a fixed instruction budget) must not
     // depend on the register-management scheme.
     double branches[3];
-    const rename::RenameConfig cfgs[3] = {
-        rename::RenameConfig::base(64, 7),
-        rename::RenameConfig::priRefcountCkptcount(64, 7),
-        rename::RenameConfig::infinite(7),
+    const RenameConfig cfgs[3] = {
+        RenameConfig::of(Scheme::Base, 64, 7),
+        RenameConfig::of(Scheme::PriRefcountCkptcount, 64, 7),
+        RenameConfig::of(Scheme::InfinitePregs, 64, 7),
     };
     for (int i = 0; i < 3; ++i) {
         const auto cfg = CoreConfig::fourWide(cfgs[i]);
@@ -115,7 +121,7 @@ TEST(Core, BranchRecoveryKeepsDataflowCorrect)
     // value == architectural value) panics on any corruption, so
     // surviving the run IS the test.
     const auto cfg = CoreConfig::fourWide(
-        rename::RenameConfig::priRefcountCkptcount(64, 7));
+        RenameConfig::of(Scheme::PriRefcountCkptcount, 64, 7));
     CoreHarness h(cfg, "gcc", 23);
     h.cpu.run(40000);
     EXPECT_GT(h.stats.scalarValue("core.branchMispredicts"), 100.0);
@@ -126,7 +132,7 @@ TEST(Core, BranchRecoveryKeepsDataflowCorrect)
 TEST(Core, SpeculativeSchedulingReplaysOnLoadMiss)
 {
     const auto cfg = CoreConfig::fourWide(
-        rename::RenameConfig::base(64, 7));
+        RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "mcf"); // miss-heavy
     h.cpu.run(20000);
     EXPECT_GT(h.stats.scalarValue("core.loadMisses"), 100.0);
@@ -137,7 +143,7 @@ TEST(Core, SpeculativeSchedulingReplaysOnLoadMiss)
 TEST(Core, StoreToLoadForwardingHappens)
 {
     const auto cfg = CoreConfig::fourWide(
-        rename::RenameConfig::base(64, 7));
+        RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "vortex"); // store-heavy
     h.cpu.run(30000);
     EXPECT_GT(h.stats.scalarValue("core.loadForwards"), 0.0);
@@ -146,7 +152,7 @@ TEST(Core, StoreToLoadForwardingHappens)
 TEST(Core, PriInlinesAndFreesEarly)
 {
     const auto cfg = CoreConfig::fourWide(
-        rename::RenameConfig::priRefcountCkptcount(64, 7));
+        RenameConfig::of(Scheme::PriRefcountCkptcount, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(20000);
     EXPECT_GT(h.stats.scalarValue("pri.narrowResultsInt"), 1000.0);
@@ -161,7 +167,7 @@ TEST(Core, PriInlinesAndFreesEarly)
 TEST(Core, IdealPayloadRewriteFiresInCore)
 {
     const auto cfg = CoreConfig::fourWide(
-        rename::RenameConfig::priIdealCkptcount(64, 7));
+        RenameConfig::of(Scheme::PriIdealCkptcount, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(20000);
     EXPECT_GT(h.stats.scalarValue("pri.idealPayloadRewrites"), 0.0);
@@ -170,10 +176,16 @@ TEST(Core, IdealPayloadRewriteFiresInCore)
 
 struct SchemeWidthParam
 {
-    rename::RenameConfig rn;
+    Scheme scheme;
     unsigned width;
-    std::string label;
 };
+
+/** gtest prints (and ctest names) a param as "PRI+ER_w8". */
+void
+PrintTo(const SchemeWidthParam &p, std::ostream *os)
+{
+    *os << rename::schemeName(p.scheme) << "_w" << p.width;
+}
 
 class CoreSchemeTest
     : public ::testing::TestWithParam<SchemeWidthParam>
@@ -183,9 +195,10 @@ class CoreSchemeTest
 TEST_P(CoreSchemeTest, RunsCleanlyWithInvariants)
 {
     const auto &prm = GetParam();
-    const auto cfg = prm.width == 8
-        ? CoreConfig::eightWide(prm.rn)
-        : CoreConfig::fourWide(prm.rn);
+    const auto rn = RenameConfig::of(
+        prm.scheme, 64, CoreConfig::narrowBitsForWidth(prm.width));
+    const auto cfg = prm.width == 8 ? CoreConfig::eightWide(rn)
+                                    : CoreConfig::fourWide(rn);
     CoreHarness h(cfg, "twolf", 5);
     h.cpu.run(15000);
     EXPECT_GE(h.cpu.committedInsts(), 15000u);
@@ -203,33 +216,17 @@ std::vector<SchemeWidthParam>
 allSchemeWidthParams()
 {
     std::vector<SchemeWidthParam> v;
-    const std::pair<rename::RenameConfig, std::string> schemes[] = {
-        {rename::RenameConfig::base(64, 7), "Base"},
-        {rename::RenameConfig::er(64, 7), "ER"},
-        {rename::RenameConfig::priRefcountCkptcount(64, 7),
-         "PriRefCkpt"},
-        {rename::RenameConfig::priRefcountLazy(64, 7), "PriRefLazy"},
-        {rename::RenameConfig::priIdealCkptcount(64, 7),
-         "PriIdealCkpt"},
-        {rename::RenameConfig::priIdealLazy(64, 7), "PriIdealLazy"},
-        {rename::RenameConfig::priPlusEr(64, 7), "PriEr"},
-        {rename::RenameConfig::infinite(7), "InfPR"},
-    };
-    for (const auto &[rc, name] : schemes) {
-        for (unsigned w : {4u, 8u}) {
-            auto rn = rc;
-            rn.narrowBitsInt = w == 8 ? 10 : 7;
-            v.push_back({rn, w,
-                         name + (w == 8 ? "_w8" : "_w4")});
-        }
+    for (const auto &row : rename::kSchemeTable) {
+        if (row.policy.virtualPhysical)
+            continue; // VP and VP+PRI: test_virtual_physical.cpp
+        for (unsigned w : {4u, 8u})
+            v.push_back({row.scheme, w});
     }
     return v;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemesBothWidths, CoreSchemeTest,
-    ::testing::ValuesIn(allSchemeWidthParams()),
-    [](const auto &info) { return info.param.label; });
+INSTANTIATE_TEST_SUITE_P(AllSchemesBothWidths, CoreSchemeTest,
+                         ::testing::ValuesIn(allSchemeWidthParams()));
 
 } // namespace
 } // namespace pri::core

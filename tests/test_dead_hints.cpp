@@ -118,9 +118,10 @@ TEST(DeadHints, PriTurnsHintsIntoEarlyFrees)
 
     auto early_frees = [&](bool pri_on) {
         StatGroup stats;
-        const auto rc = pri_on
-            ? rename::RenameConfig::priRefcountCkptcount(64, 7)
-            : rename::RenameConfig::base(64, 7);
+        const auto rc = rename::RenameConfig::of(
+            pri_on ? rename::Scheme::PriRefcountCkptcount
+                   : rename::Scheme::Base,
+            64, 7);
         core::OutOfOrderCore cpu(core::CoreConfig::fourWide(rc),
                                  prog, stats);
         cpu.run(20000);

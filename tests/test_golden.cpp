@@ -265,7 +265,7 @@ TEST(DiffCheckerDeathTest, CatchesFreeWithoutInline)
     // mapping reaches execute.
     auto p = checkedParams("gzip", 4,
                            sim::Scheme::PriRefcountCkptcount);
-    p.injectFreeWithoutInline = true;
+    p.injectFault = core::InjectedFault::FreeWithoutInline;
     p.goldenAuditInterval = 1;
     EXPECT_DEATH(sim::simulate(p),
                  "map names a free register|golden divergence");

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <deque>
+#include <iterator>
+#include <ostream>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -19,6 +22,14 @@
 
 namespace pri::rename
 {
+
+/** gtest prints (and ctest names) a Scheme param by its label. */
+void
+PrintTo(Scheme scheme, std::ostream *os)
+{
+    *os << schemeName(scheme);
+}
+
 namespace
 {
 
@@ -41,7 +52,7 @@ struct Harness
 
 TEST(RenameUnitBase, RenameReadWriteCommitRoundTrip)
 {
-    Harness h(RenameConfig::base(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::Base, kPregs, 7));
     auto &rn = h.rn;
 
     // Producer writes r1 = 5.
@@ -70,7 +81,7 @@ TEST(RenameUnitBase, RenameReadWriteCommitRoundTrip)
 
 TEST(RenameUnitBase, StallsWhenFileExhausted)
 {
-    Harness h(RenameConfig::base(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::Base, kPregs, 7));
     auto &rn = h.rn;
     unsigned allocs = 0;
     while (rn.canRename(RegClass::Int)) {
@@ -84,7 +95,7 @@ TEST(RenameUnitBase, StallsWhenFileExhausted)
 
 TEST(RenameUnitPri, NarrowValueInlinedAndFreed)
 {
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     auto d = rn.renameDest(intReg(2), 42); // 42 fits in 7 bits
@@ -111,7 +122,7 @@ TEST(RenameUnitPri, NarrowValueInlinedAndFreed)
 
 TEST(RenameUnitPri, WideValueNotInlined)
 {
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
     auto d = rn.renameDest(intReg(2), 1000); // needs 11 bits
     rn.writeback(intReg(2), d.preg, d.gen, 1000);
@@ -123,7 +134,7 @@ TEST(RenameUnitPri, WideValueNotInlined)
 TEST(RenameUnitPri, NarrowBoundaryRespectsConfiguredWidth)
 {
     {
-        Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+        Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
         auto d = h.rn.renameDest(intReg(1), 63);
         h.rn.writeback(intReg(1), d.preg, d.gen, 63);
         EXPECT_TRUE(h.rn.mapEntry(intReg(1)).imm);
@@ -133,7 +144,7 @@ TEST(RenameUnitPri, NarrowBoundaryRespectsConfiguredWidth)
     }
     {
         // 8-wide model: 10-bit values inline.
-        Harness h(RenameConfig::priRefcountCkptcount(kPregs, 10));
+        Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 10));
         auto d = h.rn.renameDest(intReg(1), 511);
         h.rn.writeback(intReg(1), d.preg, d.gen, 511);
         EXPECT_TRUE(h.rn.mapEntry(intReg(1)).imm);
@@ -145,7 +156,7 @@ TEST(RenameUnitPri, NarrowBoundaryRespectsConfiguredWidth)
 
 TEST(RenameUnitPri, FpInlinesOnlyAllZeroOrAllOnes)
 {
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
     auto d0 = rn.renameDest(fpReg(1), 0); // +0.0
     rn.writeback(fpReg(1), d0.preg, d0.gen, 0);
@@ -163,7 +174,7 @@ TEST(RenameUnitPri, FpInlinesOnlyAllZeroOrAllOnes)
 
 TEST(RenameUnitPri, Figure7WawCheckSkipsRemappedEntry)
 {
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     auto p = rn.renameDest(intReg(4), 7);   // producer P
@@ -182,7 +193,7 @@ TEST(RenameUnitPri, Figure7WawCheckSkipsRemappedEntry)
 
 TEST(RenameUnitPri, RefcountBlocksWarOnInFlightConsumer)
 {
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     auto d = rn.renameDest(intReg(5), 9);
@@ -202,7 +213,7 @@ TEST(RenameUnitPri, RefcountBlocksWarOnInFlightConsumer)
 
 TEST(RenameUnitPri, IdealPayloadRewriteFreesImmediately)
 {
-    Harness h(RenameConfig::priIdealCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriIdealCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     std::vector<SrcRead *> payload;
@@ -235,7 +246,7 @@ TEST(RenameUnitPri, IdealPayloadRewriteFreesImmediately)
 
 TEST(RenameUnitPri, CkptcountDefersFreeUntilCheckpointResolves)
 {
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     auto d = rn.renameDest(intReg(7), 3);
@@ -255,7 +266,7 @@ TEST(RenameUnitPri, CkptcountDefersFreeUntilCheckpointResolves)
 
 TEST(RenameUnitPri, LazyUpdateRewritesCheckpointCopies)
 {
-    Harness h(RenameConfig::priRefcountLazy(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountLazy, kPregs, 7));
     auto &rn = h.rn;
 
     auto d = rn.renameDest(intReg(8), 13);
@@ -283,7 +294,7 @@ TEST(RenameUnitPri, RestoreConvertsPendingNarrowToImmediate)
     // ckptcount flavour: producer inlines, checkpoint restore would
     // resurrect the stale register mapping; the unit must restore it
     // in immediate mode instead (the value is complete by then).
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     auto d = rn.renameDest(intReg(9), 21);
@@ -308,7 +319,7 @@ TEST(RenameUnitPri, RestoreRevivesInlinedValueAfterPointerTransition)
     // redefines r2 with a wide value, flipping the entry back to
     // pointer mode. Recovery must squash the wrong-path register
     // and leave r2 reading as the inlined value again.
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     auto d = rn.renameDest(intReg(2), 42);
@@ -343,7 +354,7 @@ TEST(RenameUnitPri, RestoreRevivesInlinedValueAfterPointerTransition)
 
 TEST(RenameUnitEr, FreesCompleteUnmappedRegisterEarly)
 {
-    Harness h(RenameConfig::er(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::EarlyRelease, kPregs, 7));
     auto &rn = h.rn;
 
     auto p = rn.renameDest(intReg(10), 999); // wide value
@@ -365,7 +376,7 @@ TEST(RenameUnitEr, FreesCompleteUnmappedRegisterEarly)
 
 TEST(RenameUnitEr, CheckpointHorizonBlocksEarlyRelease)
 {
-    Harness h(RenameConfig::er(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::EarlyRelease, kPregs, 7));
     auto &rn = h.rn;
 
     auto p = rn.renameDest(intReg(11), 999);
@@ -385,7 +396,7 @@ TEST(RenameUnitEr, CheckpointHorizonBlocksEarlyRelease)
 
 TEST(RenameUnitEr, IncompleteRegisterNeverFreed)
 {
-    Harness h(RenameConfig::er(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::EarlyRelease, kPregs, 7));
     auto &rn = h.rn;
     auto p = rn.renameDest(intReg(12), 5);
     rn.renameDest(intReg(12), 6); // unmapped but not yet written
@@ -396,7 +407,7 @@ TEST(RenameUnitEr, IncompleteRegisterNeverFreed)
 
 TEST(RenameUnitSquash, RestoreAndSquashDestRecoverState)
 {
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     auto older = rn.renameDest(intReg(13), 500);
@@ -423,7 +434,7 @@ TEST(RenameUnitSquash, RestoreAndSquashDestRecoverState)
 
 TEST(RenameUnitSquash, EarlyFreedSquashedDestIsDuplicateTolerant)
 {
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     const CkptId ck = rn.createCheckpoint();
@@ -443,7 +454,7 @@ TEST(RenameUnitSquash, EarlyFreedSquashedDestIsDuplicateTolerant)
 
 TEST(RenameUnitGen, CommitFreeOfReallocatedRegisterIsIgnored)
 {
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
 
     auto p = rn.renameDest(intReg(16), 3);
@@ -472,7 +483,7 @@ TEST(RenameUnitRing, WrapsThenGrowsAndResolvesOutOfOrder)
     // Each branch follows its own redefinition of r1, so exactly one
     // live checkpoint names each d[k] and its reference count shows
     // which checkpoint a resolve reached.
-    Harness h(RenameConfig::priRefcountCkptcount(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountCkptcount, kPregs, 7));
     auto &rn = h.rn;
     std::vector<RenameUnit::DestRename> d;
     std::vector<CkptId> ck;
@@ -517,7 +528,7 @@ TEST(RenameUnitRing, WrapsThenGrowsAndResolvesOutOfOrder)
 
 TEST(RenameUnitRing, LazyWritebackAfterWrapRewritesEveryCopy)
 {
-    Harness h(RenameConfig::priRefcountLazy(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::PriRefcountLazy, kPregs, 7));
     auto &rn = h.rn;
     auto p = rn.renameDest(intReg(2), 5); // narrow, not yet written
     const CkptId a = rn.createCheckpoint();
@@ -549,7 +560,7 @@ TEST(RenameUnitRing, LazyWritebackAfterWrapRewritesEveryCopy)
 
 TEST(RenameUnitRing, CheckpointsLeaveOnlyFromTheEnds)
 {
-    Harness h(RenameConfig::base(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::Base, kPregs, 7));
     auto &rn = h.rn;
     const CkptId a = rn.createCheckpoint();
     const CkptId b = rn.createCheckpoint();
@@ -570,7 +581,7 @@ TEST(RenameUnitRing, CheckpointsLeaveOnlyFromTheEnds)
 
 TEST(RenameUnitEr, ReleaseFreesUnmappedRegistersInIndexOrder)
 {
-    Harness h(RenameConfig::er(kPregs, 7));
+    Harness h(RenameConfig::of(Scheme::EarlyRelease, kPregs, 7));
     auto &rn = h.rn;
     std::vector<isa::PhysRegId> held;
     for (uint8_t r : {3, 4, 5}) {
@@ -598,8 +609,7 @@ TEST(RenameUnitEr, ReleaseFreesUnmappedRegistersInIndexOrder)
     rn.checkInvariants();
 }
 
-class SchemeInvariantTest
-    : public ::testing::TestWithParam<RenameConfig>
+class SchemeInvariantTest : public ::testing::TestWithParam<Scheme>
 {
 };
 
@@ -608,7 +618,7 @@ TEST_P(SchemeInvariantTest, RandomisedOperationSoak)
     // Pseudo-random but well-formed call sequence across every
     // scheme: rename/read/writeback/commit with occasional
     // checkpoints; invariants must hold throughout and at drain.
-    Harness h(GetParam());
+    Harness h(RenameConfig::of(GetParam(), kPregs, 7));
     auto &rn = h.rn;
 
     struct Pending
@@ -690,38 +700,42 @@ TEST_P(SchemeInvariantTest, RandomisedOperationSoak)
     EXPECT_EQ(rn.liveCheckpoints(), 0u);
 }
 
+// ctest names each case by its printed param: ".../PRI+ER".
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeInvariantTest,
-    ::testing::Values(RenameConfig::base(kPregs, 7),
-                      RenameConfig::er(kPregs, 7),
-                      RenameConfig::priRefcountCkptcount(kPregs, 7),
-                      RenameConfig::priRefcountLazy(kPregs, 7),
-                      RenameConfig::priIdealCkptcount(kPregs, 7),
-                      RenameConfig::priIdealLazy(kPregs, 7),
-                      RenameConfig::priPlusEr(kPregs, 7),
-                      RenameConfig::infinite(7)),
-    [](const auto &info) {
-        std::string n = info.param.schemeName();
-        for (auto &c : n)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return n;
-    });
+    ::testing::Values(Scheme::Base, Scheme::EarlyRelease,
+                      Scheme::PriRefcountCkptcount,
+                      Scheme::PriRefcountLazy,
+                      Scheme::PriIdealCkptcount, Scheme::PriIdealLazy,
+                      Scheme::PriPlusEr, Scheme::InfinitePregs));
 
 TEST(RenameConfigNames, MatchPaperLegend)
 {
-    EXPECT_EQ(RenameConfig::base(64, 7).schemeName(), "Base");
-    EXPECT_EQ(RenameConfig::er(64, 7).schemeName(), "ER");
-    EXPECT_EQ(RenameConfig::priRefcountCkptcount(64, 7).schemeName(),
-              "PRI-refcount+ckptcount");
-    EXPECT_EQ(RenameConfig::priRefcountLazy(64, 7).schemeName(),
-              "PRI-refcount+lazy");
-    EXPECT_EQ(RenameConfig::priIdealCkptcount(64, 7).schemeName(),
-              "PRI-ideal+ckptcount");
-    EXPECT_EQ(RenameConfig::priIdealLazy(64, 7).schemeName(),
-              "PRI-ideal+lazy");
-    EXPECT_EQ(RenameConfig::priPlusEr(64, 7).schemeName(), "PRI+ER");
-    EXPECT_EQ(RenameConfig::infinite(7).schemeName(), "InfPR");
+    // The figure legends, in Scheme order: journal lines store these
+    // labels, so none may change.
+    const std::string legend[] = {
+        "Base", "ER", "PRI-refcount+ckptcount", "PRI-refcount+lazy",
+        "PRI-ideal+ckptcount", "PRI-ideal+lazy", "PRI+ER", "InfPR",
+        "VP", "VP+PRI",
+    };
+    ASSERT_EQ(std::size(kSchemeTable), std::size(legend));
+    std::set<std::string> labels;
+    std::set<std::string> tokens;
+    for (size_t i = 0; i < std::size(kSchemeTable); ++i) {
+        const SchemeRow &row = kSchemeTable[i];
+        SCOPED_TRACE(row.label);
+        EXPECT_EQ(row.label, legend[i]);
+        EXPECT_TRUE(labels.insert(row.label).second);
+        EXPECT_TRUE(tokens.insert(row.token).second);
+        const SchemeRow *parsed = schemeByToken(row.token);
+        ASSERT_NE(parsed, nullptr);
+        EXPECT_EQ(schemeName(parsed->scheme), legend[i]);
+    }
+    EXPECT_EQ(schemeByToken("pri-bogus"), nullptr);
+    EXPECT_EQ(RenameConfig::of(Scheme::InfinitePregs, 48, 7).numPhysRegs,
+              1024u);
+    EXPECT_EQ(RenameConfig::of(Scheme::PriPlusEr, 48, 7).numPhysRegs,
+              48u);
 }
 
 } // namespace

@@ -23,7 +23,7 @@ using isa::RegClass;
 TEST(VirtualPhysical, RenameNeverStallsForRegisters)
 {
     StatGroup sg;
-    RenameUnit rn(RenameConfig::virtualPhys(40, 7), sg);
+    RenameUnit rn(RenameConfig::of(Scheme::VirtualPhysical, 40, 7), sg);
     rn.beginCycle(0);
     // Far more renames than the 40-register storage budget.
     for (int i = 0; i < 200; ++i) {
@@ -36,7 +36,7 @@ TEST(VirtualPhysical, RenameNeverStallsForRegisters)
 TEST(VirtualPhysical, StorageClaimedAtWritebackOnly)
 {
     StatGroup sg;
-    RenameUnit rn(RenameConfig::virtualPhys(64, 7), sg);
+    RenameUnit rn(RenameConfig::of(Scheme::VirtualPhysical, 64, 7), sg);
     rn.beginCycle(0);
     EXPECT_EQ(rn.storageInUse(RegClass::Int), 32u); // arch state
 
@@ -51,7 +51,7 @@ TEST(VirtualPhysical, WritebackStallsWhenStorageExhausted)
 {
     StatGroup sg;
     // 40 registers, reserve 4: non-privileged writebacks may use 36.
-    auto cfg = RenameConfig::virtualPhys(40, 7);
+    auto cfg = RenameConfig::of(Scheme::VirtualPhysical, 40, 7);
     RenameUnit rn(cfg, sg);
     rn.beginCycle(0);
 
@@ -75,7 +75,8 @@ TEST(VirtualPhysical, WritebackStallsWhenStorageExhausted)
 TEST(VirtualPhysical, InlinedValueNeverClaimsStorage)
 {
     StatGroup sg;
-    RenameUnit rn(RenameConfig::virtualPhysPlusPri(64, 7), sg);
+    RenameUnit rn(
+        RenameConfig::of(Scheme::VirtualPhysicalPlusPri, 64, 7), sg);
     rn.beginCycle(0);
 
     const unsigned before = rn.storageInUse(RegClass::Int);
@@ -92,7 +93,7 @@ TEST(VirtualPhysical, InlinedValueNeverClaimsStorage)
 TEST(VirtualPhysical, RetriedWritebackSucceedsAfterFree)
 {
     StatGroup sg;
-    auto cfg = RenameConfig::virtualPhys(40, 7);
+    auto cfg = RenameConfig::of(Scheme::VirtualPhysical, 40, 7);
     RenameUnit rn(cfg, sg);
     rn.beginCycle(0);
 
@@ -131,10 +132,11 @@ TEST(VirtualPhysicalCore, EndToEndRunsAndBeatsTightBase)
 
     // At a tight 48-register budget, removing the rename-time stall
     // must help a register-bound workload.
-    const double base = run(RenameConfig::base(48, 7));
-    const double vp = run(RenameConfig::virtualPhys(48, 7));
-    const double vp_pri = run(RenameConfig::virtualPhysPlusPri(48, 7));
-    const double inf = run(RenameConfig::infinite(7));
+    const double base = run(RenameConfig::of(Scheme::Base, 48, 7));
+    const double vp = run(RenameConfig::of(Scheme::VirtualPhysical, 48, 7));
+    const double vp_pri =
+        run(RenameConfig::of(Scheme::VirtualPhysicalPlusPri, 48, 7));
+    const double inf = run(RenameConfig::of(Scheme::InfinitePregs, 64, 7));
     EXPECT_GT(vp, base);
     EXPECT_GE(vp_pri, vp * 0.98);
     EXPECT_LE(vp, inf * 1.02);
@@ -148,7 +150,7 @@ TEST(VirtualPhysicalCore, StorageNeverExceedsBudget)
         workload::profileByName("mcf"), 7);
     StatGroup stats;
     OutOfOrderCore cpu(
-        CoreConfig::fourWide(RenameConfig::virtualPhys(48, 7)),
+        CoreConfig::fourWide(RenameConfig::of(Scheme::VirtualPhysical, 48, 7)),
         prog, stats);
     cpu.run(3000);
     cpu.beginMeasurement();
