@@ -38,8 +38,7 @@ runHints(const std::string &bench, double hint_frac, bool pri_on,
                    : rename::Scheme::Base,
             64, 7);
         StatGroup stats;
-        core::OutOfOrderCore cpu(core::CoreConfig::fourWide(rc),
-                                 prog, stats);
+        core::OutOfOrderCore cpu(core::CoreConfig::of(4, rc), prog, stats);
         cpu.run(budget.warmup);
         cpu.beginMeasurement();
         cpu.run(budget.measure);

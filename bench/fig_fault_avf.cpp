@@ -16,8 +16,9 @@
  *
  * Everything is deterministic: injection specs are pure functions
  * of the campaign seed, and classification consumes only bit-exact
- * run artifacts, so the table and BENCH_faults.json are
- * byte-identical across --jobs and --journal resume.
+ * run artifacts, so the table and its --json file (committed as
+ * BENCH_faults.json) are byte-identical across --jobs and --journal
+ * resume.
  *
  * Extra options on top of the common set:
  *   --injections N   strikes per (scheme, site) cell (default, or
@@ -180,8 +181,7 @@ main(int argc, char **argv)
         std::printf("\nWARNING: %u reference run(s) failed\n",
                     ref_fail);
 
-    writeFaultsJson(opts.jsonPath.empty() ? "BENCH_faults.json"
-                                          : opts.jsonPath,
-                    spec, table);
+    if (!opts.jsonPath.empty())
+        writeFaultsJson(opts.jsonPath, spec, table);
     return 0;
 }

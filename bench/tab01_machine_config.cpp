@@ -1,56 +1,63 @@
 /**
  * @file
- * Table 1 reproduction: print the machine configurations exactly as
- * the simulator instantiates them, so configuration drift between
- * the paper's table and the code is visible at a glance.
+ * Table 1 reproduction: print each row of core::kMachineTable with
+ * the constants both machines share (core/config.hh,
+ * memory/cache.hh) — the values every simulated core is built from
+ * — so drift between the paper's table and the code is visible at a
+ * glance.
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
 #include "core/config.hh"
+#include "memory/cache.hh"
 
 namespace
 {
 
-void
-show(const char *title, const pri::core::CoreConfig &c)
+unsigned long long
+kilobytes(const pri::memory::CacheParams &c)
 {
-    std::printf("-- %s --\n", title);
+    return c.sizeBytes / 1024;
+}
+
+void
+show(const pri::core::MachineRow &row, unsigned phys_regs)
+{
+    using namespace pri::core;
+    using pri::memory::kDl1;
+    using pri::memory::kIl1;
+    using pri::memory::kL2;
+    std::printf("-- %u-wide (%s) --\n", row.width, row.label);
     std::printf("  %u-wide fetch/issue/commit, %u ROB, %u LSQ, "
                 "%u-entry scheduler\n",
-                c.width, c.robSize, c.lsqSize, c.schedSize);
-    std::printf("  %u INT + %u FP physical registers\n",
-                c.rename.numPhysRegs, c.rename.numPhysRegs);
+                row.width, kRobSize, kLsqSize, row.schedSize);
+    std::printf("  %u INT + %u FP physical registers\n", phys_regs,
+                phys_regs);
     std::printf("  speculative scheduling with selective replay; "
                 "fetch stops at first taken branch\n");
     std::printf("  FUs: %u intALU, %u intMul/Div, %u fpALU, "
                 "%u fpMul/Div, %u memPorts\n",
-                c.numIntAlu, c.numIntMultDiv, c.numFpAlu,
-                c.numFpMultDiv, c.numMemPorts);
+                row.numIntAlu, row.numIntMultDiv, row.numFpAlu,
+                row.numFpMultDiv, row.numMemPorts);
     std::printf("  pipeline: Fetch Decode | Rename | Queue Sched | "
                 "Disp Disp RF RF | Exe | Retire | Commit\n");
-    const auto &m = c.mem;
     std::printf("  IL1 %lluKB %u-way %uB (%u cyc), DL1 %lluKB "
                 "%u-way %uB (%u cyc),\n",
-                static_cast<unsigned long long>(
-                    m.il1.sizeBytes / 1024),
-                m.il1.assoc, m.il1.lineBytes, m.il1.latency,
-                static_cast<unsigned long long>(
-                    m.dl1.sizeBytes / 1024),
-                m.dl1.assoc, m.dl1.lineBytes, m.dl1.latency);
+                kilobytes(kIl1), kIl1.assoc, kIl1.lineBytes,
+                kIl1.latency, kilobytes(kDl1), kDl1.assoc,
+                kDl1.lineBytes, kDl1.latency);
     std::printf("  L2 %lluKB %u-way %uB (%u cyc), memory %u cyc\n",
-                static_cast<unsigned long long>(
-                    m.l2.sizeBytes / 1024),
-                m.l2.assoc, m.l2.lineBytes, m.l2.latency,
-                m.memLatency);
+                kilobytes(kL2), kL2.assoc, kL2.lineBytes, kL2.latency,
+                pri::memory::kMemLatency);
     std::printf("  branch: bimodal(4k)+gshare(4k)+selector(4k), "
                 "16-entry RAS, 1k 4-way BTB\n");
     std::printf("  PRI: integer values with %u or fewer significant "
                 "bits inline into the map;\n"
                 "       FP values inline only when all zeroes or "
                 "ones\n\n",
-                pri::core::CoreConfig::narrowBitsForWidth(c.width));
+                row.narrowBits);
 }
 
 } // namespace
@@ -63,14 +70,9 @@ main(int argc, char **argv)
     pri::bench::parseOptions(
         argc, argv, {.json = false, .journal = false, .timeout = false});
     std::printf("=== Table 1: machine configurations ===\n\n");
-    using pri::core::CoreConfig;
-    using pri::rename::RenameConfig;
-    using pri::rename::Scheme;
-    const auto rn4 = RenameConfig::of(
-        Scheme::Base, 64, CoreConfig::narrowBitsForWidth(4));
-    const auto rn8 = RenameConfig::of(
-        Scheme::Base, 64, CoreConfig::narrowBitsForWidth(8));
-    show("4-wide (current generation)", CoreConfig::fourWide(rn4));
-    show("8-wide (future machine)", CoreConfig::eightWide(rn8));
+    // Table 1's register count is the one RunParams defaults to.
+    const unsigned phys_regs = pri::sim::RunParams{}.physRegs;
+    for (const auto &row : pri::core::kMachineTable)
+        show(row, phys_regs);
     return 0;
 }

@@ -46,8 +46,7 @@ main()
 
     auto run = [&](const rename::RenameConfig &rc) {
         StatGroup stats;
-        core::OutOfOrderCore cpu(
-            core::CoreConfig::fourWide(rc), program, stats);
+        core::OutOfOrderCore cpu(core::CoreConfig::of(4, rc), program, stats);
         cpu.run(20000);             // warmup
         cpu.beginMeasurement();
         cpu.run(100000);            // measure

@@ -11,11 +11,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/bitutils.hh"
+#include "common/parse_number.hh"
 #include "common/stats.hh"
+#include "core/config.hh"
 #include "workload/walker.hh"
 
 int
@@ -24,7 +25,7 @@ main(int argc, char **argv)
     using namespace pri;
     const std::string bench = argc > 1 ? argv[1] : "gzip";
     const uint64_t insts = argc > 2
-        ? static_cast<uint64_t>(std::atoll(argv[2]))
+        ? parseFlagValue<uint64_t>("instructions", argv[2])
         : 200000;
 
     const auto &prof = workload::profileByName(bench);
@@ -70,12 +71,13 @@ main(int argc, char **argv)
     std::printf("\nmap-entry width -> fraction of integer results "
                 "inlineable:\n");
     for (unsigned bits : {4u, 7u, 8u, 10u, 12u, 16u}) {
-        std::printf("  %2u-bit entries: %5.1f%%%s\n", bits,
-                    100.0 * widths.cdfAt(bits),
-                    bits == 7 ? "   <- 4-wide machine model"
-                              : (bits == 10
-                                     ? "   <- 8-wide machine model"
-                                     : ""));
+        std::printf("  %2u-bit entries: %5.1f%%", bits,
+                    100.0 * widths.cdfAt(bits));
+        for (const auto &machine : core::kMachineTable) {
+            if (machine.narrowBits == bits)
+                std::printf("   <- %u-wide machine model", machine.width);
+        }
+        std::printf("\n");
     }
 
     if (fp > 0) {

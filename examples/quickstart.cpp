@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
 
@@ -22,7 +23,7 @@ main(int argc, char **argv)
 
     const std::string benchmark = argc > 1 ? argv[1] : "gzip";
     const unsigned width =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
+        argc > 2 ? parseFlagValue<unsigned>("width", argv[2]) : 4;
 
     std::printf("Physical Register Inlining quickstart\n");
     std::printf("benchmark=%s width=%u physRegs=64\n\n",

@@ -10,10 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
 
@@ -23,7 +23,7 @@ main(int argc, char **argv)
     using namespace pri;
     const std::string bench = argc > 1 ? argv[1] : "gzip";
     const unsigned width =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
+        argc > 2 ? parseFlagValue<unsigned>("width", argv[2]) : 4;
 
     std::printf("Register pressure study: %s, %u-wide\n\n",
                 bench.c_str(), width);

@@ -175,10 +175,4 @@ flightRecorder()
     return recorder;
 }
 
-void
-setFlightContext(const std::string &ctx)
-{
-    flightRecorder().setContext(ctx.c_str());
-}
-
 } // namespace pri

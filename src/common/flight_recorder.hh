@@ -121,12 +121,6 @@ class FlightRecorder
 /** This thread's recorder (created on first use). */
 FlightRecorder &flightRecorder();
 
-/**
- * Convenience: install @p ctx as this thread's run context (see
- * FlightRecorder::setContext).
- */
-void setFlightContext(const std::string &ctx);
-
 } // namespace pri
 
 #endif // PRI_COMMON_FLIGHT_RECORDER_HH

@@ -16,7 +16,7 @@
  * window [head, tail): releases in the middle (branches resolve out
  * of order) mark the slot dead, and the window edges advance past
  * dead slots. Every slot in the window belongs to a branch still in
- * the fetch queue or ROB, so the core's capacity of robSize +
+ * the fetch queue or ROB, so the core's capacity of kRobSize +
  * fetchQueueSize can never fill; allocate() asserts it.
  */
 

@@ -1,11 +1,15 @@
 /**
  * @file
- * Machine configuration (paper Table 1).
+ * Machine configuration (paper Table 1), written down once.
  *
- * Two presets: the conservative 4-wide current-generation model
- * (32-entry scheduler) and the aggressive 8-wide future model
- * (512-entry scheduler). Both use 512-entry ROBs, 256-entry LSQs,
- * and 64 INT + 64 FP physical registers by default.
+ * kMachineTable holds what differs by machine width: the
+ * conservative 4-wide current-generation model (32-entry scheduler)
+ * and the aggressive 8-wide future model (512-entry scheduler, twice
+ * the functional units, 10-bit narrow values). The constants below
+ * it hold what both machines share: the 512-entry ROB, the 256-entry
+ * LSQ and the pipeline; memory/cache.hh holds the shared caches and
+ * branch/predictor.hh the shared predictor. CoreConfig carries only
+ * what a caller varies.
  */
 
 #ifndef PRI_CORE_CONFIG_HH
@@ -13,8 +17,8 @@
 
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "faults/fault_spec.hh"
-#include "memory/cache.hh"
 #include "rename/rename_unit.hh"
 
 namespace pri::core
@@ -83,23 +87,61 @@ constexpr uint64_t kWedgeAfterCommits = 5000;
  *  Livelock stall (see CoreConfig::watchdogCycles). */
 constexpr unsigned kWatchdogAuditWindows = 4;
 
-/** Full machine configuration for one simulation. */
+/** One machine of paper Table 1 (a column there): what differs by
+ *  width. */
+struct MachineRow
+{
+    const char *label;  ///< the machine's name in Table 1
+    unsigned width;     ///< fetch/issue/commit width
+    unsigned schedSize; ///< scheduler entries
+    // Functional units, each accepting one op per cycle.
+    unsigned numIntAlu;
+    unsigned numIntMultDiv;
+    unsigned numFpAlu;
+    unsigned numFpMultDiv;
+    unsigned numMemPorts;
+    /** Integer values of this many significant bits or fewer inline
+     *  into the map (the map entry less its mode bit). */
+    unsigned narrowBits;
+};
+
+inline constexpr MachineRow kMachineTable[] = {
+    {"current generation", 4, 32, 4, 1, 2, 1, 2, 7},
+    {"future machine", 8, 512, 8, 2, 4, 2, 4, 10},
+};
+
+/** The row of the @p width machine, or nullptr if Table 1 has none. */
+constexpr const MachineRow *
+machineRow(unsigned width)
+{
+    for (const auto &row : kMachineTable) {
+        if (row.width == width)
+            return &row;
+    }
+    return nullptr;
+}
+
+// Shared by both machines.
+constexpr unsigned kRobSize = 512;
+constexpr unsigned kLsqSize = 256;
+
+// Pipeline shape (paper Figure 5):
+// Fetch Decode | Rename | Queue Sched | Disp Disp RF RF | Exe
+// | Retire | Commit  (12 stages).
+constexpr unsigned kFetchToRename = 2;   ///< Fetch + Decode
+constexpr unsigned kRenameToSelect = 2;  ///< Queue + Sched entry
+constexpr unsigned kSelectToExe = 4;     ///< Disp, Disp, RF, RF
+constexpr unsigned kExeToRetire = 1;     ///< writeback one stage later
+constexpr unsigned kRedirectPenalty = 2; ///< resolve -> fetch restart
+constexpr unsigned kBtbMissPenalty = 2;  ///< taken branch without a target
+
+/** What one simulation varies on top of its Table 1 machine. */
 struct CoreConfig
 {
-    unsigned width = 4;       ///< fetch/issue/commit width
-    unsigned robSize = 512;
-    unsigned lsqSize = 256;
-    unsigned schedSize = 32;
+    unsigned width = 0;     ///< a kMachineTable row's width
+    unsigned schedSize = 0; ///< the row's, unless an ablation sets it
 
     rename::RenameConfig rename;
-    memory::HierarchyParams mem;
-
-    // Functional units.
-    unsigned numIntAlu = 4;
-    unsigned numIntMultDiv = 1;
-    unsigned numFpAlu = 2;
-    unsigned numFpMultDiv = 1;
-    unsigned numMemPorts = 2;
 
     /**
      * PRF read ports granted per cycle across both register classes
@@ -113,16 +155,6 @@ struct CoreConfig
      * 0 or >= 2 (a 2-source op could never issue on fewer).
      */
     unsigned prfReadPorts = 0;
-
-    // Pipeline shape (paper Figure 5):
-    // Fetch Decode | Rename | Queue Sched | Disp Disp RF RF | Exe
-    // | Retire | Commit  (12 stages).
-    unsigned fetchToRename = 2;   ///< Fetch + Decode
-    unsigned renameToSelect = 2;  ///< Queue + Sched entry
-    unsigned selectToExe = 4;     ///< Disp, Disp, RF, RF
-    unsigned exeToRetire = 1;     ///< writeback one stage later
-    unsigned redirectPenalty = 2; ///< resolve -> fetch restart
-    unsigned btbMissPenalty = 2;  ///< taken branch without a target
 
     /** Planted bug for diff-checker validation; see InjectedFault. */
     InjectedFault injectFault = InjectedFault::None;
@@ -184,21 +216,22 @@ struct CoreConfig
      * flight (ROB plus fetch queue), so the pool never fills and
      * never stalls fetch.
      */
-    unsigned ckptPoolSize() const { return robSize + fetchQueueSize(); }
+    unsigned ckptPoolSize() const { return kRobSize + fetchQueueSize(); }
 
     /** Fetch-buffer capacity between fetch and rename. */
     unsigned fetchQueueSize() const { return 3 * width; }
 
-    /** Table 1, left column (with the given rename scheme). */
-    static CoreConfig fourWide(const rename::RenameConfig &rn);
-    /** Table 1, right column. */
-    static CoreConfig eightWide(const rename::RenameConfig &rn);
-
-    /** Narrow-value width the paper assigns per machine width. */
-    static unsigned
-    narrowBitsForWidth(unsigned width)
+    /** The @p width machine of Table 1 with rename config @p rn. */
+    static CoreConfig
+    of(unsigned width, const rename::RenameConfig &rn)
     {
-        return width >= 8 ? 10 : 7;
+        const MachineRow *row = machineRow(width);
+        PRI_ASSERT(row != nullptr, "Table 1 has no machine that wide");
+        CoreConfig c;
+        c.width = width;
+        c.schedSize = row->schedSize;
+        c.rename = rn;
+        return c;
     }
 };
 

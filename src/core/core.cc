@@ -88,16 +88,18 @@ OutOfOrderCore::OutOfOrderCore(
                            : workload::trace::TraceCache::global()
                                  .acquire(program)),
       walker(program, traces.get()),
-      rn(config.rename, stats),
-      mem(config.mem),
-      lsq(config.lsqSize), robHot(config.robSize),
-      robCold(config.robSize), wakes_(config.robSize, 1),
+      rn(config.rename, stats), lsq(kLsqSize), robHot(kRobSize),
+      robCold(kRobSize), wakes_(kRobSize, 1),
       portArb_(config.prfReadPorts),
       fetchBuf(config.fetchQueueSize()),
-      ckptPool(config.ckptPoolSize()), events_(config.robSize, 2),
+      ckptPool(config.ckptPoolSize()), events_(kRobSize, 2),
       flight(&flightRecorder())
 {
     fixHeapThresholds();
+    const MachineRow *row = machineRow(cfg.width);
+    PRI_ASSERT(row != nullptr, "Table 1 has no machine that wide");
+    fuCount_ = {row->numIntAlu, row->numIntMultDiv, row->numFpAlu,
+                row->numFpMultDiv, row->numMemPorts};
     wdNextAudit = cfg.watchdogAuditWindow();
     if (cfg.faultSpec.enabled()) {
         // Cycle-derived triggers resolve to a concrete fire cycle
@@ -132,27 +134,27 @@ OutOfOrderCore::OutOfOrderCore(
         specAvail_[cls].assign(cfg.rename.renameTagSpace(), 0);
         actualAvail_[cls].assign(cfg.rename.renameTagSpace(), 0);
     }
-    unretiredBits.assign((cfg.robSize + 63) / 64, 0);
+    unretiredBits.assign((kRobSize + 63) / 64, 0);
 
     for (auto cls : {0, 1})
         consHead_[cls].assign(cfg.rename.renameTagSpace(), -1);
-    cons_.assign(2 * cfg.robSize, ConsLinks{});
-    readyBits_.assign((cfg.robSize + 63) / 64, 0);
+    cons_.assign(2 * kRobSize, ConsLinks{});
+    readyBits_.assign((kRobSize + 63) / 64, 0);
 
     // Pre-size the squash buffer so the steady state never touches
     // the heap: a squash frees at most one dest per ROB slot.
-    freedScratch.reserve(cfg.robSize);
+    freedScratch.reserve(kRobSize);
 
     // Only renamed branches hold rename checkpoints, so the ROB bounds
     // their live count; reserving it keeps createCheckpoint
     // allocation-free at any new high-water mark.
-    rn.reserveCheckpoints(cfg.robSize);
+    rn.reserveCheckpoints(kRobSize);
 
     // One arch-undo record per in-flight dest-writer bounds the
     // journals' live spans; size for that plus the dead prefix the
     // trim policy tolerates, so steady state never grows.
-    archJournal.reserveForLiveSpan(cfg.robSize + cfg.fetchQueueSize());
-    ras.reserveJournal(cfg.robSize + cfg.fetchQueueSize());
+    archJournal.reserveForLiveSpan(kRobSize + cfg.fetchQueueSize());
+    ras.reserveJournal(kRobSize + cfg.fetchQueueSize());
 
     // Ideal-PRI payload rewrite: convert every in-flight consumer of
     // (cls, preg) to carry the inlined immediate (paper §3.3's
@@ -183,7 +185,7 @@ OutOfOrderCore::srcSpecReady(const rename::SrcRead &s) const
     if (!s.valid || s.imm)
         return true;
     return specAvail_[static_cast<unsigned>(s.cls)][s.preg] <=
-        cycle + cfg.selectToExe;
+        cycle + kSelectToExe;
 }
 
 bool
@@ -346,9 +348,8 @@ OutOfOrderCore::predictReadyCycle(uint32_t idx, uint64_t &when) const
         if (a == kNever)
             return false;
         // Earliest select cycle at which the source counts as
-        // spec-ready: specAvail <= cycle + selectToExe.
-        const uint64_t rt =
-            a > cfg.selectToExe ? a - cfg.selectToExe : 0;
+        // spec-ready: specAvail <= cycle + kSelectToExe.
+        const uint64_t rt = a > kSelectToExe ? a - kSelectToExe : 0;
         when = std::max(when, rt);
     }
     return true;
@@ -752,12 +753,12 @@ OutOfOrderCore::onExeStart(uint32_t idx)
         const bool fwd = lsq.forwardHit(wi.seq, wi.memAddr);
         unsigned mem_lat;
         if (fwd) {
-            mem_lat = cfg.mem.dl1.latency;
+            mem_lat = memory::kDl1.latency;
             ++st.loadForwards;
         } else {
-            mem_lat = mem.dataAccess(wi.memAddr, false);
+            mem_lat = mem.dataAccess(wi.memAddr);
         }
-        if (mem_lat > cfg.mem.dl1.latency)
+        if (mem_lat > memory::kDl1.latency)
             ++st.loadMisses;
         lat = 1 + mem_lat;
     } else {
@@ -807,7 +808,7 @@ OutOfOrderCore::onExeComplete(uint32_t idx)
     if (e.isBranch)
         resolveBranch(idx);
 
-    scheduleEvent(cycle + cfg.exeToRetire, EventType::Retire, idx);
+    scheduleEvent(cycle + kExeToRetire, EventType::Retire, idx);
 }
 
 bool
@@ -861,7 +862,7 @@ OutOfOrderCore::onRetire(uint32_t idx)
         const bool privileged = !rn.policy().virtualPhysical ||
             (robHead <= idx
                  ? !anyUnretiredInRange(robHead, idx)
-                 : !anyUnretiredInRange(robHead, cfg.robSize) &&
+                 : !anyUnretiredInRange(robHead, kRobSize) &&
                      !anyUnretiredInRange(0, idx));
         if (!rn.writeback(c.dst, e.dstPreg, c.dstGen,
                           c.wi.resultValue, privileged)) {
@@ -999,7 +1000,7 @@ OutOfOrderCore::resolveBranch(uint32_t idx)
     });
 
     flushFetchBuffer();
-    fetchResumeCycle = cycle + cfg.redirectPenalty;
+    fetchResumeCycle = cycle + kRedirectPenalty;
 
     // The restored checkpoint has served its purpose; no older
     // branch will ever restore it.
@@ -1011,14 +1012,13 @@ OutOfOrderCore::resolveBranch(uint32_t idx)
 void
 OutOfOrderCore::squashAfter(uint32_t branch_idx)
 {
-    const uint32_t stop = (branch_idx + 1) % cfg.robSize;
+    const uint32_t stop = (branch_idx + 1) % kRobSize;
     std::vector<Freed> &to_free = freedScratch;
     to_free.clear();
 
     const uint32_t count_before = robCount;
     while (robTail != stop) {
-        const uint32_t last =
-            (robTail + cfg.robSize - 1) % cfg.robSize;
+        const uint32_t last = (robTail + kRobSize - 1) % kRobSize;
         RobHot &y = robHot[last];
         RobCold &yc = robCold[last];
         PRI_ASSERT(y.valid);
@@ -1123,7 +1123,7 @@ OutOfOrderCore::commitStage()
         }
 
         if (c.wi.isStore())
-            mem.dataAccess(c.wi.memAddr, true);
+            mem.dataAccess(c.wi.memAddr);
         if (c.hasLsq)
             lsq.commitHead(c.wi.seq);
         if (e.hasDst)
@@ -1142,7 +1142,7 @@ OutOfOrderCore::commitStage()
         flight->record(FlightEvent::Commit, cycle, c.wi.pc,
                        c.wi.seq, e.hasDst ? e.dstPreg : ~0u);
         e.valid = false;
-        robHead = (robHead + 1) % cfg.robSize;
+        robHead = (robHead + 1) % kRobSize;
         --robCount;
         ++nCommitted;
         lastCommitCycle = cycle;
@@ -1178,7 +1178,7 @@ OutOfOrderCore::portRequest(uint32_t idx)
             // self-consistent (same silent-without-checker pattern
             // as CommitWrongPath). Once per cycle.
             portFaultFiredThisCycle_ = true;
-            portArb_.overGrant(need);
+            portArb_.overGrant();
             robCold[idx].portCorrupted = true;
         } else {
             if (!denied_before)
@@ -1217,9 +1217,7 @@ OutOfOrderCore::selectStage()
     if (readyCount_ == 0)
         return;
 
-    std::array<unsigned, 5> fu = {cfg.numIntAlu, cfg.numIntMultDiv,
-                                  cfg.numFpAlu, cfg.numFpMultDiv,
-                                  cfg.numMemPorts};
+    std::array<unsigned, 5> fu = fuCount_;
     unsigned issued = 0;
 
     // Oldest-first over the ready bitmap: walking the ROB ring from
@@ -1272,10 +1270,10 @@ OutOfOrderCore::selectStage()
             ++schedHeld;
             if (e.hasDst) {
                 const unsigned pred_lat = isa::isLoad(e.cls)
-                    ? 1 + cfg.mem.dl1.latency
+                    ? 1 + memory::kDl1.latency
                     : isa::execLatency(e.cls);
                 specAvail(e.dstCls, e.dstPreg) =
-                    cycle + cfg.selectToExe + pred_lat;
+                    cycle + kSelectToExe + pred_lat;
                 // Wake the dest's consumers. Predicted readiness is
                 // at least one cycle out (every latency >= 1), so
                 // near-wake parking may set a ready bit mid-scan, but
@@ -1284,8 +1282,7 @@ OutOfOrderCore::selectStage()
                 // nothing either way.
                 broadcastAvail(e.dstCls, e.dstPreg);
             }
-            scheduleEvent(cycle + cfg.selectToExe, EventType::ExeStart,
-                          idx);
+            scheduleEvent(cycle + kSelectToExe, EventType::ExeStart, idx);
             ++st.issuedInsts;
             flight->record(FlightEvent::Issue, cycle,
                            robCold[idx].wi.pc, e.seq,
@@ -1310,7 +1307,7 @@ OutOfOrderCore::renameStage()
             return;
 
         const auto &wi = f.wi;
-        if (robCount == cfg.robSize) {
+        if (robCount == kRobSize) {
             ++st.stallRobFull;
             return;
         }
@@ -1336,7 +1333,7 @@ OutOfOrderCore::renameStage()
         e.valid = true;
         e.seq = wi.seq;
         e.cls = wi.cls;
-        e.readyForSelect = cycle + cfg.renameToSelect;
+        e.readyForSelect = cycle + kRenameToSelect;
 
         c = RobCold{};
         c.wi = wi;
@@ -1413,7 +1410,7 @@ OutOfOrderCore::renameStage()
         }
         wakeVerify(idx);
         unretiredBits[idx / 64] |= uint64_t{1} << (idx % 64);
-        robTail = (robTail + 1) % cfg.robSize;
+        robTail = (robTail + 1) % kRobSize;
         ++robCount;
         fetchHead = (fetchHead + 1) % fq_cap;
         --fetchCount;
@@ -1441,8 +1438,8 @@ OutOfOrderCore::fetchStage()
     // One I-cache access per cycle for the current fetch group.
     const uint64_t fetch_pc = walker.currentPc();
     const unsigned ilat = mem.instAccess(fetch_pc);
-    if (ilat > cfg.mem.il1.latency) {
-        fetchResumeCycle = cycle + (ilat - cfg.mem.il1.latency);
+    if (ilat > memory::kIl1.latency) {
+        fetchResumeCycle = cycle + (ilat - memory::kIl1.latency);
         ++st.icacheMissStalls;
         return;
     }
@@ -1455,7 +1452,7 @@ OutOfOrderCore::fetchStage()
         FetchedInst &f =
             fetchBuf[(fetchHead + fetchCount) % fq_cap];
         f.fetchCycle = cycle;
-        f.readyAt = cycle + cfg.fetchToRename;
+        f.readyAt = cycle + kFetchToRename;
         f.isBranch = false;
         f.usedPredictor = false;
         PRI_ASSERT(!f.ckptRef.valid(),
@@ -1488,8 +1485,7 @@ OutOfOrderCore::fetchStage()
                 if (pred_taken && !btb.lookup(wi.pc)) {
                     // Predicted taken but no target in the BTB:
                     // short fetch bubble while decode computes it.
-                    fetchResumeCycle =
-                        cycle + 1 + cfg.btbMissPenalty;
+                    fetchResumeCycle = cycle + 1 + kBtbMissPenalty;
                     ++st.btbMisses;
                 }
             }
@@ -1526,7 +1522,7 @@ void
 OutOfOrderCore::checkInvariants() const
 {
     rn.checkInvariants();
-    PRI_ASSERT(robCount <= cfg.robSize);
+    PRI_ASSERT(robCount <= kRobSize);
     PRI_ASSERT(schedCount_ + schedHeld <= cfg.schedSize);
     PRI_ASSERT(fetchCount <= fetchBuf.size());
     // One pass over the ROB slots: counts, both bitmaps against the
@@ -1534,7 +1530,7 @@ OutOfOrderCore::checkInvariants() const
     // The ready bitmap needs no order audit: the select scan walks
     // the ROB ring from robHead, so seq order is structural.
     unsigned valid = 0, waiting = 0, nready = 0, held = 0, refs = 0;
-    for (uint32_t i = 0; i < cfg.robSize; ++i) {
+    for (uint32_t i = 0; i < kRobSize; ++i) {
         const RobHot &e = robHot[i];
         const bool unretired = (unretiredBits[i / 64] >> (i % 64)) & 1;
         const bool ready = (readyBits_[i / 64] >> (i % 64)) & 1;

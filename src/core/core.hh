@@ -458,6 +458,8 @@ class OutOfOrderCore
     unsigned fuIndex(isa::OpClass cls) const;
 
     CoreConfig cfg;
+    /** Functional units per fuIndex() class: cfg's Table 1 row. */
+    std::array<unsigned, 5> fuCount_{};
     StatGroup &sg;
     CoreStats st;
     const workload::SyntheticProgram &prog;

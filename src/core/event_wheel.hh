@@ -11,7 +11,7 @@
  * (bucket, list). The footprint is fixed at construction and does
  * not depend on how events cluster in time. A wheel of event
  * vectors, by contrast, must reserve its worst case in every bucket
- * (1024 buckets x robSize events) to keep the cycle loop free of
+ * (1024 buckets x kRobSize events) to keep the cycle loop free of
  * allocation.
  *
  * Each bucket holds `lists` independent FIFO lists, so a caller can

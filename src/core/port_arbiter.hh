@@ -37,8 +37,6 @@
 #ifndef PRI_CORE_PORT_ARBITER_HH
 #define PRI_CORE_PORT_ARBITER_HH
 
-#include <cstdint>
-
 namespace pri::core
 {
 
@@ -51,9 +49,6 @@ class ReadPortArbiter
         : budget_(ports), left_(ports)
     {
     }
-
-    unsigned budget() const { return budget_; }
-    bool unlimited() const { return budget_ == 0; }
 
     /** Start a new cycle: the full budget becomes available. */
     void
@@ -73,32 +68,24 @@ class ReadPortArbiter
     request(unsigned need)
     {
         // Unlimited arbiters and fully-inlined (zero-need) ops
-        // always issue, but still count as grants.
+        // always issue.
         if (budget_ != 0 && need != 0) {
             if (need > left_) {
                 deniedThisCycle_ = true;
-                ++deniedOps_;
                 return false;
             }
             left_ -= need;
         }
-        grantedPorts_ += need;
-        ++grantedOps_;
         return true;
     }
 
     /**
-     * Grant @p need ports beyond the remaining budget — the planted
-     * InjectedFault::PortOverGrant bug (an arbiter off-by-one that
-     * drives more reads than the array has bitlines). Tests only.
+     * Grant a denied request anyway, exhausting the budget — the
+     * planted InjectedFault::PortOverGrant bug (an arbiter off-by-one
+     * that drives more reads than the array has bitlines). Tests
+     * only.
      */
-    void
-    overGrant(unsigned need)
-    {
-        left_ = 0;
-        grantedPorts_ += need;
-        ++grantedOps_;
-    }
+    void overGrant() { left_ = 0; }
 
     /** Ports still grantable this cycle (unlimited: ~0u). */
     unsigned
@@ -110,18 +97,10 @@ class ReadPortArbiter
     /** Any denial since beginCycle()? (One stall-cycle stat tick.) */
     bool deniedThisCycle() const { return deniedThisCycle_; }
 
-    // Lifetime counters, for the property test and telemetry.
-    uint64_t grantedPorts() const { return grantedPorts_; }
-    uint64_t grantedOps() const { return grantedOps_; }
-    uint64_t deniedOps() const { return deniedOps_; }
-
   private:
     unsigned budget_;
     unsigned left_;
     bool deniedThisCycle_ = false;
-    uint64_t grantedPorts_ = 0;
-    uint64_t grantedOps_ = 0;
-    uint64_t deniedOps_ = 0;
 };
 
 } // namespace pri::core

@@ -51,9 +51,6 @@ class GoldenModel
     /** Execute the next committed instruction. */
     const GoldenInst &step();
 
-    /** The most recently executed instruction. */
-    const GoldenInst &last() const { return cur; }
-
     /** Instructions executed so far. */
     uint64_t committed() const { return n; }
 

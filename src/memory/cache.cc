@@ -72,53 +72,32 @@ Cache::probe(uint64_t addr) const
     return false;
 }
 
-void
-Cache::exportStats(StatGroup &stats, const std::string &prefix) const
-{
-    stats.scalar(prefix + ".hits").set(static_cast<double>(nHits));
-    stats.scalar(prefix + ".misses")
-        .set(static_cast<double>(nMisses));
-    const uint64_t total = nHits + nMisses;
-    stats.scalar(prefix + ".missRate")
-        .set(total ? static_cast<double>(nMisses) / total : 0.0);
-}
-
-MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
-    : prm(params), il1_(params.il1), dl1_(params.dl1), l2_(params.l2)
+MemoryHierarchy::MemoryHierarchy() : il1_(kIl1), dl1_(kDl1), l2_(kL2)
 {
 }
 
 unsigned
-MemoryHierarchy::dataAccess(uint64_t addr, bool write)
+MemoryHierarchy::dataAccess(uint64_t addr)
 {
-    (void)write; // write-allocate: same fill behaviour
-    unsigned lat = prm.dl1.latency;
+    unsigned lat = kDl1.latency;
     if (dl1_.access(addr))
         return lat;
-    lat += prm.l2.latency;
+    lat += kL2.latency;
     if (l2_.access(addr))
         return lat;
-    return lat + prm.memLatency;
+    return lat + kMemLatency;
 }
 
 unsigned
 MemoryHierarchy::instAccess(uint64_t addr)
 {
-    unsigned lat = prm.il1.latency;
+    unsigned lat = kIl1.latency;
     if (il1_.access(addr))
         return lat;
-    lat += prm.l2.latency;
+    lat += kL2.latency;
     if (l2_.access(addr))
         return lat;
-    return lat + prm.memLatency;
-}
-
-void
-MemoryHierarchy::exportStats(StatGroup &stats) const
-{
-    il1_.exportStats(stats, "mem.il1");
-    dl1_.exportStats(stats, "mem.dl1");
-    l2_.exportStats(stats, "mem.l2");
+    return lat + kMemLatency;
 }
 
 } // namespace pri::memory

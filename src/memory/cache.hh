@@ -14,10 +14,7 @@
 #define PRI_MEMORY_CACHE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "common/stats.hh"
 
 namespace pri::memory
 {
@@ -25,12 +22,17 @@ namespace pri::memory
 /** Geometry and latency of one cache level. */
 struct CacheParams
 {
-    std::string name = "cache";
-    uint64_t sizeBytes = 32 * 1024;
-    unsigned assoc = 2;
-    unsigned lineBytes = 32;
-    unsigned latency = 2; ///< cycles added when this level hits
+    uint64_t sizeBytes;
+    unsigned assoc;
+    unsigned lineBytes;
+    unsigned latency; ///< cycles added when this level hits
 };
+
+// Paper Table 1's hierarchy, shared by both machines.
+constexpr CacheParams kIl1{32 * 1024, 2, 32, 2};
+constexpr CacheParams kDl1{32 * 1024, 4, 16, 2};
+constexpr CacheParams kL2{512 * 1024, 4, 64, 12};
+constexpr unsigned kMemLatency = 150; ///< cycles beyond an L2 miss
 
 /** One level of set-associative cache with true-LRU replacement. */
 class Cache
@@ -47,12 +49,8 @@ class Cache
     /** Look up without changing any state. */
     bool probe(uint64_t addr) const;
 
-    const CacheParams &params() const { return prm; }
     uint64_t hits() const { return nHits; }
     uint64_t misses() const { return nMisses; }
-
-    /** Register hit/miss counters into @p stats under @p prefix. */
-    void exportStats(StatGroup &stats, const std::string &prefix) const;
 
   private:
     struct Line
@@ -73,39 +71,28 @@ class Cache
     uint64_t nMisses = 0;
 };
 
-/** Latencies of the three-level hierarchy in paper Table 1. */
-struct HierarchyParams
-{
-    CacheParams il1{"il1", 32 * 1024, 2, 32, 2};
-    CacheParams dl1{"dl1", 32 * 1024, 4, 16, 2};
-    CacheParams l2{"l2", 512 * 1024, 4, 64, 12};
-    unsigned memLatency = 150;
-};
-
 /**
- * IL1 + DL1 + unified L2 + memory. Latency is cumulative down the
+ * kIl1 + kDl1 + unified kL2 + memory. Latency is cumulative down the
  * hierarchy: DL1 hit = 2, L2 hit = 2+12, memory = 2+12+150.
  */
 class MemoryHierarchy
 {
   public:
-    explicit MemoryHierarchy(const HierarchyParams &params = {});
+    MemoryHierarchy();
 
-    /** Data-side access; returns total latency in cycles. */
-    unsigned dataAccess(uint64_t addr, bool write);
+    /**
+     * Data-side access (loads, and stores at commit: write-allocate
+     * fills the same way); returns total latency in cycles.
+     */
+    unsigned dataAccess(uint64_t addr);
 
     /** Instruction fetch access; returns total latency in cycles. */
     unsigned instAccess(uint64_t addr);
 
-    Cache &il1() { return il1_; }
     Cache &dl1() { return dl1_; }
     Cache &l2() { return l2_; }
-    const HierarchyParams &params() const { return prm; }
-
-    void exportStats(StatGroup &stats) const;
 
   private:
-    HierarchyParams prm;
     Cache il1_;
     Cache dl1_;
     Cache l2_;

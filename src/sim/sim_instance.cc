@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -30,8 +31,14 @@ invalid(std::string_view fmt, Args &&...args)
 core::CoreConfig
 coreConfigFor(const RunParams &params)
 {
-    if (params.width != 4 && params.width != 8)
-        invalid("width {} (must be 4 or 8)", params.width);
+    const core::MachineRow *row = core::machineRow(params.width);
+    if (row == nullptr) {
+        std::string widths;
+        for (const auto &r : core::kMachineTable)
+            widths += (widths.empty() ? "" : " or ") +
+                std::to_string(r.width);
+        invalid("width {} (must be {})", params.width, widths);
+    }
     if (params.measureInsts == 0)
         invalid("measureInsts 0 (must be at least 1)");
     if (params.prfReadPorts == 1)
@@ -39,7 +46,7 @@ coreConfigFor(const RunParams &params)
 
     const unsigned narrow = params.narrowBitsOverride
         ? params.narrowBitsOverride
-        : core::CoreConfig::narrowBitsForWidth(params.width);
+        : row->narrowBits;
     auto rn_cfg = rename::RenameConfig::of(params.scheme,
                                            params.physRegs, narrow);
     rn_cfg.injectFreeWithoutInline =
@@ -51,9 +58,7 @@ coreConfigFor(const RunParams &params)
                 rn_cfg.numPhysRegs, min_regs,
                 schemeName(params.scheme));
     }
-    core::CoreConfig cfg = params.width == 8
-        ? core::CoreConfig::eightWide(rn_cfg)
-        : core::CoreConfig::fourWide(rn_cfg);
+    core::CoreConfig cfg = core::CoreConfig::of(params.width, rn_cfg);
     if (params.schedSizeOverride)
         cfg.schedSize = params.schedSizeOverride;
     cfg.prfReadPorts = params.prfReadPorts;

@@ -67,9 +67,10 @@ class SimInstance
 /**
  * The core config simulate() builds for @p params. Throws
  * std::invalid_argument for a point no machine can run: a width
- * other than 4 or 8, no measured instructions, a read-port budget
- * of 1, or no more physical registers than the 32 architected ones
- * (plus the VP reserve under virtual-physical schemes).
+ * with no core::kMachineTable row, no measured instructions, a
+ * read-port budget of 1, or no more physical registers than the 32
+ * architected ones (plus the VP reserve under virtual-physical
+ * schemes).
  */
 core::CoreConfig coreConfigFor(const RunParams &params);
 

@@ -89,11 +89,4 @@ simulate(const RunParams &params)
     return SimInstance(params).run();
 }
 
-double
-speedupOver(const RunResult &result, const RunResult &base)
-{
-    PRI_ASSERT(base.ipc > 0.0);
-    return result.ipc / base.ipc;
-}
-
 } // namespace pri::sim

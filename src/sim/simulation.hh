@@ -38,7 +38,7 @@ constexpr Scheme kAllSchemes[] = {
 struct RunParams
 {
     std::string benchmark = "gzip";
-    unsigned width = 4;           ///< 4 or 8 (Table 1 presets)
+    unsigned width = 4;           ///< a core::kMachineTable width
     Scheme scheme = Scheme::Base;
     unsigned physRegs = 64;       ///< per class; ignored for InfPR
     uint64_t warmupInsts = 30000;
@@ -60,8 +60,8 @@ struct RunParams
      * commit values alone (at a simulation-speed cost).
      */
     unsigned goldenAuditInterval = 64;
-    unsigned schedSizeOverride = 0;  ///< 0 = width preset's size
-    unsigned narrowBitsOverride = 0; ///< 0 = width preset's bits
+    unsigned schedSizeOverride = 0;  ///< 0 = the width row's size
+    unsigned narrowBitsOverride = 0; ///< 0 = the width row's bits
     /**
      * PRF read ports per cycle; 0 = unlimited (exactly the
      * pre-port-model machine, byte-identical reports). Finite
@@ -200,12 +200,6 @@ std::string paramsSummary(const RunParams &params);
 
 /** Run one simulation. */
 RunResult simulate(const RunParams &params);
-
-/**
- * Speedup helper: IPC(scheme) / IPC(base) on the same benchmark,
- * width, and register count.
- */
-double speedupOver(const RunResult &result, const RunResult &base);
 
 } // namespace pri::sim
 

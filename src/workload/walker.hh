@@ -107,8 +107,6 @@ class Walker
     /** Restore state captured at a mispredicted branch. */
     void restore(const WalkerCkpt &ckpt);
 
-    const SyntheticProgram &program() const { return prog; }
-
     /** Is this walker replaying compiled micro-traces? */
     bool traced() const { return cur != nullptr; }
 

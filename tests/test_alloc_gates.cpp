@@ -14,13 +14,13 @@
  *     reference walk (PRI-refcount+ckptcount), the Early Release
  *     sweep (ER) and the lazy copy walk (PRI-refcount+lazy);
  *  5. the rename checkpoint ring, once reserved: filling, wrapping
- *     and growing it to robSize live checkpoints allocates nothing;
+ *     and growing it to kRobSize live checkpoints allocates nothing;
  *  6. the traced walker's replay loop: no allocation.
  *
  * A last gate bounds what one core allocates at construction, in
  * bytes and in calls, so no per-cycle structure can buy its
  * zero-allocation steady state with a worst-case reservation again
- * (the event wheel once held 1024 x robSize event slots: 8 MiB per
+ * (the event wheel once held 1024 x kRobSize event slots: 8 MiB per
  * 8-wide core), and no per-checkpoint prefill can come back (one
  * node per checkpoint slot once made 722 calls per 8-wide core).
  *
@@ -152,7 +152,7 @@ measureCore(const char *bench, const rename::RenameConfig &rn,
 {
     workload::SyntheticProgram program(
         workload::profileByName(bench), 11);
-    auto cfg = core::CoreConfig::fourWide(rn);
+    auto cfg = core::CoreConfig::of(4, rn);
     cfg.prfReadPorts = ports;
     StatGroup stats;
     core::OutOfOrderCore cpu(cfg, program, stats);
@@ -175,9 +175,8 @@ measureCore(const char *bench, const rename::RenameConfig &rn,
 rename::RenameConfig
 baseRename()
 {
-    return rename::RenameConfig::of(
-        rename::Scheme::Base, 64,
-        core::CoreConfig::narrowBitsForWidth(4));
+    return rename::RenameConfig::of(rename::Scheme::Base, 64,
+                                    core::machineRow(4)->narrowBits);
 }
 
 TEST(AllocGates, CycleLoopSteadyState)
@@ -209,7 +208,7 @@ TEST(AllocGates, CheckpointRecoverySteadyState)
 
 TEST(AllocGates, CheckpointBookkeepingSteadyState)
 {
-    const unsigned bits = core::CoreConfig::narrowBitsForWidth(4);
+    const unsigned bits = core::machineRow(4)->narrowBits;
     for (const auto scheme : {rename::Scheme::PriRefcountCkptcount,
                               rename::Scheme::EarlyRelease,
                               rename::Scheme::PriRefcountLazy}) {
@@ -227,24 +226,23 @@ TEST(AllocGates, CheckpointRingReservedUpFront)
     // renaming starts. Half-fill the ring, retire its oldest quarter,
     // then wrap and grow it to that bound: no step may allocate, not
     // even a new high-water mark reached while wrapped.
-    const auto cfg = core::CoreConfig::fourWide(
-        rename::RenameConfig::of(
-            rename::Scheme::PriRefcountCkptcount, 64,
-            core::CoreConfig::narrowBitsForWidth(4)));
     StatGroup stats;
-    rename::RenameUnit rn(cfg.rename, stats);
-    rn.reserveCheckpoints(cfg.robSize);
+    rename::RenameUnit rn(
+        rename::RenameConfig::of(rename::Scheme::PriRefcountCkptcount, 64,
+                                 core::machineRow(4)->narrowBits),
+        stats);
+    rn.reserveCheckpoints(core::kRobSize);
     std::vector<rename::CkptId> ids;
-    ids.reserve(2 * cfg.robSize);
+    ids.reserve(2 * core::kRobSize);
 
     const uint64_t a0 = allocs();
-    while (rn.liveCheckpoints() < cfg.robSize / 2)
+    while (rn.liveCheckpoints() < core::kRobSize / 2)
         ids.push_back(rn.createCheckpoint());
-    for (size_t i = 0; i < cfg.robSize / 4; ++i) {
+    for (size_t i = 0; i < core::kRobSize / 4; ++i) {
         rn.resolveCheckpoint(ids[i]);
         rn.releaseCheckpoint(ids[i]);
     }
-    while (rn.liveCheckpoints() < cfg.robSize)
+    while (rn.liveCheckpoints() < core::kRobSize)
         ids.push_back(rn.createCheckpoint());
     EXPECT_EQ(allocs() - a0, 0u);
 }
@@ -282,10 +280,9 @@ TEST(AllocGates, CoreConstructionFootprint)
                                        11);
     const auto traces =
         workload::trace::TraceCache::global().acquire(program);
-    const auto cfg = core::CoreConfig::eightWide(
-        rename::RenameConfig::of(
-            rename::Scheme::Base, 64,
-            core::CoreConfig::narrowBitsForWidth(8)));
+    const auto cfg = core::CoreConfig::of(
+        8, rename::RenameConfig::of(rename::Scheme::Base, 64,
+                                    core::machineRow(8)->narrowBits));
     StatGroup stats;
     const uint64_t a0 = allocs();
     const uint64_t b0 = g_bytes.load(std::memory_order_relaxed);
@@ -319,7 +316,7 @@ TEST(AllocGates, FreedHeapStaysMapped)
         workload::SyntheticProgram program(
             workload::profileByName("gzip"), 11);
         StatGroup stats;
-        core::OutOfOrderCore cpu(core::CoreConfig::fourWide(baseRename()),
+        core::OutOfOrderCore cpu(core::CoreConfig::of(4, baseRename()),
                                  program, stats);
     }
     // A block several cores large, touched page by page, freed, then

@@ -17,7 +17,7 @@ CacheParams
 tiny()
 {
     // 4 sets x 2 ways x 16B lines = 128 bytes.
-    return CacheParams{"tiny", 128, 2, 16, 1};
+    return CacheParams{128, 2, 16, 1};
 }
 
 TEST(Cache, ColdMissThenHit)
@@ -55,9 +55,9 @@ TEST(Cache, ProbeDoesNotAllocate)
 
 TEST(Cache, PaperGeometriesConstruct)
 {
-    Cache il1(CacheParams{"il1", 32 * 1024, 2, 32, 2});
-    Cache dl1(CacheParams{"dl1", 32 * 1024, 4, 16, 2});
-    Cache l2(CacheParams{"l2", 512 * 1024, 4, 64, 12});
+    Cache il1(kIl1);
+    Cache dl1(kDl1);
+    Cache l2(kL2);
     EXPECT_FALSE(il1.access(0x1000));
     EXPECT_FALSE(dl1.access(0x1000));
     EXPECT_FALSE(l2.access(0x1000));
@@ -67,7 +67,7 @@ TEST(Cache, CapacitySweepEvictsExactly)
 {
     // Fill a direct-mapped-equivalent working set twice the cache
     // size: second pass must miss everywhere (LRU, sequential).
-    Cache c(CacheParams{"c", 1024, 1, 16, 1});
+    Cache c(CacheParams{1024, 1, 16, 1});
     for (uint64_t a = 0; a < 2048; a += 16)
         c.access(a);
     const uint64_t misses_before = c.misses();
@@ -79,47 +79,31 @@ TEST(Cache, CapacitySweepEvictsExactly)
 TEST(Hierarchy, CumulativeLatencies)
 {
     MemoryHierarchy mem;
-    const auto &p = mem.params();
     // Cold: DL1 miss, L2 miss -> memory.
-    EXPECT_EQ(mem.dataAccess(0x5000, false),
-              p.dl1.latency + p.l2.latency + p.memLatency);
+    EXPECT_EQ(mem.dataAccess(0x5000),
+              kDl1.latency + kL2.latency + kMemLatency);
     // Warm: DL1 hit.
-    EXPECT_EQ(mem.dataAccess(0x5000, false), p.dl1.latency);
+    EXPECT_EQ(mem.dataAccess(0x5000), kDl1.latency);
 }
 
 TEST(Hierarchy, L2HitAfterDl1Eviction)
 {
     MemoryHierarchy mem;
-    const auto &p = mem.params();
-    mem.dataAccess(0x5000, false);
+    mem.dataAccess(0x5000);
     // Evict 0x5000 from DL1 by sweeping > 32KB of conflicting
     // lines; L2 (512KB) keeps everything.
     for (uint64_t a = 0x100000; a < 0x100000 + 64 * 1024; a += 16)
-        mem.dataAccess(a, false);
-    EXPECT_EQ(mem.dataAccess(0x5000, false),
-              p.dl1.latency + p.l2.latency);
+        mem.dataAccess(a);
+    EXPECT_EQ(mem.dataAccess(0x5000), kDl1.latency + kL2.latency);
 }
 
 TEST(Hierarchy, InstAndDataSidesAreSeparateL1s)
 {
     MemoryHierarchy mem;
-    const auto &p = mem.params();
     mem.instAccess(0x8000);
     // Data side still cold for the same address, but L2 now has it.
-    EXPECT_EQ(mem.dataAccess(0x8000, false),
-              p.dl1.latency + p.l2.latency);
-    EXPECT_EQ(mem.instAccess(0x8000), p.il1.latency);
-}
-
-TEST(Hierarchy, StatsExport)
-{
-    MemoryHierarchy mem;
-    mem.dataAccess(0x1, false);
-    mem.dataAccess(0x1, false);
-    StatGroup sg;
-    mem.exportStats(sg);
-    EXPECT_DOUBLE_EQ(sg.scalarValue("mem.dl1.hits"), 1.0);
-    EXPECT_DOUBLE_EQ(sg.scalarValue("mem.dl1.misses"), 1.0);
+    EXPECT_EQ(mem.dataAccess(0x8000), kDl1.latency + kL2.latency);
+    EXPECT_EQ(mem.instAccess(0x8000), kIl1.latency);
 }
 
 } // namespace

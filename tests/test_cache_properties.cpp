@@ -27,7 +27,7 @@ class CacheGeometryTest : public ::testing::TestWithParam<Geometry>
     params() const
     {
         const auto [size, assoc, line] = GetParam();
-        return CacheParams{"c", size, assoc, line, 1};
+        return CacheParams{size, assoc, line, 1};
     }
 };
 

@@ -145,11 +145,11 @@ struct CoreHarness
 
 TEST(PooledCore, AutoSizedPoolNeverStalls)
 {
-    // The capacity (robSize + fetchQueueSize) has one slot for
+    // The capacity (kRobSize + fetchQueueSize) has one slot for
     // every branch that can possibly be in flight, so allocate()'s
     // overflow assert never fires and the stall stat stays at 0.
-    const auto cfg = core::CoreConfig::fourWide(
-        rename::RenameConfig::of(rename::Scheme::Base, 64, 7));
+    const auto cfg = core::CoreConfig::of(
+        4, rename::RenameConfig::of(rename::Scheme::Base, 64, 7));
     CoreHarness h(cfg, "gcc", 23);
     h.cpu.run(30000);
     EXPECT_GT(h.stats.scalarValue("core.ckptsTaken"), 1000.0);

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <ostream>
+#include <tuple>
 
 #include "core/core.hh"
 #include "workload/program.hh"
@@ -34,10 +36,62 @@ struct CoreHarness
     }
 };
 
+TEST(MachineTable, MatchesPaperTable1)
+{
+    // What differs by width: one row per machine.
+    ASSERT_EQ(std::size(kMachineTable), 2u);
+    const MachineRow &four = kMachineTable[0];
+    EXPECT_STREQ(four.label, "current generation");
+    EXPECT_EQ(four.width, 4u);
+    EXPECT_EQ(four.schedSize, 32u);
+    EXPECT_EQ(four.numIntAlu, 4u);
+    EXPECT_EQ(four.numIntMultDiv, 1u);
+    EXPECT_EQ(four.numFpAlu, 2u);
+    EXPECT_EQ(four.numFpMultDiv, 1u);
+    EXPECT_EQ(four.numMemPorts, 2u);
+    EXPECT_EQ(four.narrowBits, 7u); // 8-bit map entry less its mode bit
+    const MachineRow &eight = kMachineTable[1];
+    EXPECT_STREQ(eight.label, "future machine");
+    EXPECT_EQ(eight.width, 8u);
+    EXPECT_EQ(eight.schedSize, 512u);
+    EXPECT_EQ(eight.numIntAlu, 8u);
+    EXPECT_EQ(eight.numIntMultDiv, 2u);
+    EXPECT_EQ(eight.numFpAlu, 4u);
+    EXPECT_EQ(eight.numFpMultDiv, 2u);
+    EXPECT_EQ(eight.numMemPorts, 4u);
+    EXPECT_EQ(eight.narrowBits, 10u); // 11-bit entry less its mode bit
+
+    EXPECT_EQ(machineRow(4), &four);
+    EXPECT_EQ(machineRow(8), &eight);
+    EXPECT_EQ(machineRow(5), nullptr);
+    const auto rn = RenameConfig::of(Scheme::Base, 64, 10);
+    EXPECT_EQ(CoreConfig::of(8, rn).width, 8u);
+    EXPECT_EQ(CoreConfig::of(8, rn).schedSize, 512u);
+    EXPECT_EQ(CoreConfig::of(4, rn).schedSize, 32u);
+
+    // What both machines share.
+    EXPECT_EQ(kRobSize, 512u);
+    EXPECT_EQ(kLsqSize, 256u);
+    EXPECT_EQ(kFetchToRename, 2u);
+    EXPECT_EQ(kRenameToSelect, 2u);
+    EXPECT_EQ(kSelectToExe, 4u);
+    EXPECT_EQ(kExeToRetire, 1u);
+    EXPECT_EQ(kRedirectPenalty, 2u);
+    EXPECT_EQ(kBtbMissPenalty, 2u);
+    // {size, ways, line bytes, hit latency}
+    using Geometry = std::tuple<uint64_t, unsigned, unsigned, unsigned>;
+    const auto geometry = [](const memory::CacheParams &c) {
+        return Geometry{c.sizeBytes, c.assoc, c.lineBytes, c.latency};
+    };
+    EXPECT_EQ(geometry(memory::kIl1), Geometry(32 * 1024, 2, 32, 2));
+    EXPECT_EQ(geometry(memory::kDl1), Geometry(32 * 1024, 4, 16, 2));
+    EXPECT_EQ(geometry(memory::kL2), Geometry(512 * 1024, 4, 64, 12));
+    EXPECT_EQ(memory::kMemLatency, 150u);
+}
+
 TEST(Core, MakesForwardProgress)
 {
-    const auto cfg = CoreConfig::fourWide(
-        RenameConfig::of(Scheme::Base, 64, 7));
+    const auto cfg = CoreConfig::of(4, RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(5000);
     EXPECT_GE(h.cpu.committedInsts(), 5000u);
@@ -47,8 +101,7 @@ TEST(Core, MakesForwardProgress)
 
 TEST(Core, IpcWindowMeasuresOnlyAfterMark)
 {
-    const auto cfg = CoreConfig::fourWide(
-        RenameConfig::of(Scheme::Base, 64, 7));
+    const auto cfg = CoreConfig::of(4, RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(3000);
     h.cpu.beginMeasurement();
@@ -65,8 +118,7 @@ TEST(Core, RespectsMaxCycles)
 {
     // cfg.cycleBudget is the one cycle cap: a run that cannot reach
     // its commit target stops there with a structured stall.
-    auto cfg =
-        CoreConfig::fourWide(RenameConfig::of(Scheme::Base, 64, 7));
+    auto cfg = CoreConfig::of(4, RenameConfig::of(Scheme::Base, 64, 7));
     cfg.cycleBudget = 2000;
     CoreHarness h(cfg, "gzip");
     try {
@@ -80,8 +132,7 @@ TEST(Core, RespectsMaxCycles)
 
 TEST(Core, OccupancyBoundedByFileSize)
 {
-    const auto cfg = CoreConfig::fourWide(
-        RenameConfig::of(Scheme::Base, 64, 7));
+    const auto cfg = CoreConfig::of(4, RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(2000);
     h.cpu.beginMeasurement();
@@ -103,7 +154,7 @@ TEST(Core, CommittedStreamIdenticalAcrossSchemes)
         RenameConfig::of(Scheme::InfinitePregs, 64, 7),
     };
     for (int i = 0; i < 3; ++i) {
-        const auto cfg = CoreConfig::fourWide(cfgs[i]);
+        const auto cfg = CoreConfig::of(4, cfgs[i]);
         CoreHarness h(cfg, "gcc", 17);
         h.cpu.run(20000);
         branches[i] = h.stats.scalarValue("core.committedBranches");
@@ -120,8 +171,8 @@ TEST(Core, BranchRecoveryKeepsDataflowCorrect)
     // here. The core's internal dataflow assertion (renamed operand
     // value == architectural value) panics on any corruption, so
     // surviving the run IS the test.
-    const auto cfg = CoreConfig::fourWide(
-        RenameConfig::of(Scheme::PriRefcountCkptcount, 64, 7));
+    const auto cfg = CoreConfig::of(
+        4, RenameConfig::of(Scheme::PriRefcountCkptcount, 64, 7));
     CoreHarness h(cfg, "gcc", 23);
     h.cpu.run(40000);
     EXPECT_GT(h.stats.scalarValue("core.branchMispredicts"), 100.0);
@@ -131,8 +182,7 @@ TEST(Core, BranchRecoveryKeepsDataflowCorrect)
 
 TEST(Core, SpeculativeSchedulingReplaysOnLoadMiss)
 {
-    const auto cfg = CoreConfig::fourWide(
-        RenameConfig::of(Scheme::Base, 64, 7));
+    const auto cfg = CoreConfig::of(4, RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "mcf"); // miss-heavy
     h.cpu.run(20000);
     EXPECT_GT(h.stats.scalarValue("core.loadMisses"), 100.0);
@@ -142,8 +192,7 @@ TEST(Core, SpeculativeSchedulingReplaysOnLoadMiss)
 
 TEST(Core, StoreToLoadForwardingHappens)
 {
-    const auto cfg = CoreConfig::fourWide(
-        RenameConfig::of(Scheme::Base, 64, 7));
+    const auto cfg = CoreConfig::of(4, RenameConfig::of(Scheme::Base, 64, 7));
     CoreHarness h(cfg, "vortex"); // store-heavy
     h.cpu.run(30000);
     EXPECT_GT(h.stats.scalarValue("core.loadForwards"), 0.0);
@@ -151,8 +200,8 @@ TEST(Core, StoreToLoadForwardingHappens)
 
 TEST(Core, PriInlinesAndFreesEarly)
 {
-    const auto cfg = CoreConfig::fourWide(
-        RenameConfig::of(Scheme::PriRefcountCkptcount, 64, 7));
+    const auto cfg = CoreConfig::of(
+        4, RenameConfig::of(Scheme::PriRefcountCkptcount, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(20000);
     EXPECT_GT(h.stats.scalarValue("pri.narrowResultsInt"), 1000.0);
@@ -166,8 +215,8 @@ TEST(Core, PriInlinesAndFreesEarly)
 
 TEST(Core, IdealPayloadRewriteFiresInCore)
 {
-    const auto cfg = CoreConfig::fourWide(
-        RenameConfig::of(Scheme::PriIdealCkptcount, 64, 7));
+    const auto cfg = CoreConfig::of(
+        4, RenameConfig::of(Scheme::PriIdealCkptcount, 64, 7));
     CoreHarness h(cfg, "gzip");
     h.cpu.run(20000);
     EXPECT_GT(h.stats.scalarValue("pri.idealPayloadRewrites"), 0.0);
@@ -195,10 +244,9 @@ class CoreSchemeTest
 TEST_P(CoreSchemeTest, RunsCleanlyWithInvariants)
 {
     const auto &prm = GetParam();
-    const auto rn = RenameConfig::of(
-        prm.scheme, 64, CoreConfig::narrowBitsForWidth(prm.width));
-    const auto cfg = prm.width == 8 ? CoreConfig::eightWide(rn)
-                                    : CoreConfig::fourWide(rn);
+    const auto rn = RenameConfig::of(prm.scheme, 64,
+                                     machineRow(prm.width)->narrowBits);
+    const auto cfg = CoreConfig::of(prm.width, rn);
     CoreHarness h(cfg, "twolf", 5);
     h.cpu.run(15000);
     EXPECT_GE(h.cpu.committedInsts(), 15000u);
@@ -219,8 +267,8 @@ allSchemeWidthParams()
     for (const auto &row : rename::kSchemeTable) {
         if (row.policy.virtualPhysical)
             continue; // VP and VP+PRI: test_virtual_physical.cpp
-        for (unsigned w : {4u, 8u})
-            v.push_back({row.scheme, w});
+        for (const auto &machine : kMachineTable)
+            v.push_back({row.scheme, machine.width});
     }
     return v;
 }

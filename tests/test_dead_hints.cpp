@@ -122,8 +122,7 @@ TEST(DeadHints, PriTurnsHintsIntoEarlyFrees)
             pri_on ? rename::Scheme::PriRefcountCkptcount
                    : rename::Scheme::Base,
             64, 7);
-        core::OutOfOrderCore cpu(core::CoreConfig::fourWide(rc),
-                                 prog, stats);
+        core::OutOfOrderCore cpu(core::CoreConfig::of(4, rc), prog, stats);
         cpu.run(20000);
         cpu.checkInvariants();
         return stats.scalarValue("pri.earlyFrees");

@@ -14,8 +14,7 @@
  *    requester is always granted, so no requester waits longer
  *    than its arrival-queue position (bounded starvation);
  *  - zero-need requests (fully inlined operands) always issue;
- *  - the unlimited arbiter never denies anything;
- *  - lifetime counters are consistent with the per-cycle history.
+ *  - the unlimited arbiter never denies anything.
  */
 
 #include <gtest/gtest.h>
@@ -68,13 +67,10 @@ TEST(PortArbiter, RandomizedAgainstReference)
             ? 0
             : 2 + static_cast<unsigned>(hashRange(7, 77, trial, 1));
         ReadPortArbiter arb(budget);
-        EXPECT_EQ(arb.budget(), budget);
-        EXPECT_EQ(arb.unlimited(), budget == 0);
         SCOPED_TRACE("trial " + std::to_string(trial) + " budget " +
                      std::to_string(budget));
 
         std::deque<Requester> pending;
-        uint64_t granted_ports = 0, granted_ops = 0, denied_ops = 0;
         for (unsigned cycle = 0; cycle < 200; ++cycle) {
             // 0-3 new requesters per cycle, each needing 0-2 ports.
             const auto n_new = hashRange(4, trial, cycle, 2);
@@ -100,14 +96,11 @@ TEST(PortArbiter, RandomizedAgainstReference)
                     << "cycle " << cycle << " requester " << i;
                 if (got) {
                     ports_this_cycle += pending[i].need;
-                    ++granted_ops;
-                    granted_ports += pending[i].need;
                     // Zero-need ops issue even with nothing left.
                     if (pending[i].need == 0 && budget != 0)
                         EXPECT_LE(ports_this_cycle, budget);
                 } else {
                     any_denied = true;
-                    ++denied_ops;
                     Requester r = pending[i];
                     ++r.waited;
                     // Bounded starvation: budget >= max need means
@@ -131,9 +124,6 @@ TEST(PortArbiter, RandomizedAgainstReference)
             }
             pending = std::move(next);
         }
-        EXPECT_EQ(arb.grantedPorts(), granted_ports);
-        EXPECT_EQ(arb.grantedOps(), granted_ops);
-        EXPECT_EQ(arb.deniedOps(), denied_ops);
     }
 }
 
@@ -145,7 +135,6 @@ TEST(PortArbiter, UnlimitedNeverDenies)
         EXPECT_TRUE(arb.request(2));
     EXPECT_FALSE(arb.deniedThisCycle());
     EXPECT_EQ(arb.remaining(), ~0u);
-    EXPECT_EQ(arb.grantedOps(), 1000u);
 }
 
 TEST(PortArbiter, OldestAlwaysGrantedAtFloorBudget)
@@ -163,15 +152,14 @@ TEST(PortArbiter, OldestAlwaysGrantedAtFloorBudget)
 
 TEST(PortArbiter, OverGrantSeamExhaustsBudget)
 {
-    ReadPortArbiter arb(2);
+    ReadPortArbiter arb(4);
     arb.beginCycle();
-    EXPECT_TRUE(arb.request(2));
-    EXPECT_FALSE(arb.request(1));
-    const uint64_t ops_before = arb.grantedOps();
-    arb.overGrant(1); // the planted-fault path counts the grant
-    EXPECT_EQ(arb.grantedOps(), ops_before + 1);
+    EXPECT_TRUE(arb.request(3));
+    EXPECT_FALSE(arb.request(2));
+    arb.overGrant(); // the planted-fault path grants it anyway
     EXPECT_EQ(arb.remaining(), 0u);
-    EXPECT_TRUE(arb.request(0)); // zero-need still issues
+    EXPECT_FALSE(arb.request(1)); // one port was left before it
+    EXPECT_TRUE(arb.request(0));  // zero-need still issues
 }
 
 } // namespace

@@ -122,7 +122,7 @@ TEST(VirtualPhysicalCore, EndToEndRunsAndBeatsTightBase)
 
     auto run = [&](const RenameConfig &rc) {
         StatGroup stats;
-        OutOfOrderCore cpu(CoreConfig::fourWide(rc), prog, stats);
+        OutOfOrderCore cpu(CoreConfig::of(4, rc), prog, stats);
         cpu.run(5000);
         cpu.beginMeasurement();
         cpu.run(20000);
@@ -150,7 +150,7 @@ TEST(VirtualPhysicalCore, StorageNeverExceedsBudget)
         workload::profileByName("mcf"), 7);
     StatGroup stats;
     OutOfOrderCore cpu(
-        CoreConfig::fourWide(RenameConfig::of(Scheme::VirtualPhysical, 48, 7)),
+        CoreConfig::of(4, RenameConfig::of(Scheme::VirtualPhysical, 48, 7)),
         prog, stats);
     cpu.run(3000);
     cpu.beginMeasurement();
